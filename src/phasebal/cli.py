@@ -125,12 +125,15 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     )
     print(f"final totals: {_fmt_totals(report.final_totals)} kW")
 
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(write_report(report) + "\n")
-    if args.emit_moves:
-        with open(args.emit_moves, "w", encoding="utf-8") as fh:
-            write_moves_csv(report, fh)
+    try:
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(write_report(report) + "\n")
+        if args.emit_moves:
+            with open(args.emit_moves, "w", encoding="utf-8") as fh:
+                write_moves_csv(report, fh)
+    except OSError as exc:
+        raise _CliError(f"cannot write report: {exc}") from None
 
     return 0 if report.status in (BALANCED, ALREADY_BALANCED) else 2
 

@@ -3,11 +3,12 @@
 Two steps. The determine step picks, for every releasing phase (negative
 change), how many points leave and which ones: an exact fixed-cardinality
 subset selection that minimizes the gap between the selected sum and the
-requested release. The distribute step pools the selected points into a
-single change vector and allocates them to the receiving phases; with two
-receivers the first gets a subset selected the same way and the second
-gets everything left over, so released and received always tally even
-when no exact-sum subset exists.
+requested release, solved exactly at any instance size (no cap). The
+distribute step pools the selected points into a single change vector
+and allocates them to the receiving phases; with two receivers the first
+gets a subset selected the same way and the second gets everything left
+over, so released and received always tally even when no exact-sum
+subset exists.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .model import NUM_PHASES, FeederSnapshot, round_half_away
 
@@ -33,10 +32,6 @@ __all__ = [
     "determine",
     "distribute",
 ]
-
-# Refuse DP instances beyond this many (points x cardinality x sum) cells.
-_MAX_DP_CELLS = 200_000_000
-
 
 @dataclass(frozen=True)
 class ChangeSuggestion:
@@ -164,7 +159,8 @@ def feasibility_check(snapshot: FeederSnapshot, suggestion: ChangeSuggestion) ->
     problem. A phase with a nonzero change must have its smallest load
     point strictly below the change magnitude, or no point combination
     can realize the change without altering the system total; phases with
-    zero change are exempt. An all-zero or single-signed suggestion has
+    zero change are exempt. A releasing phase with no point above 0 kW has
+    nothing to give up. An all-zero or single-signed suggestion has
     nothing to move and is likewise rejected (the latter cannot survive
     error correction, but is checked defensively).
     """
@@ -178,8 +174,8 @@ def feasibility_check(snapshot: FeederSnapshot, suggestion: ChangeSuggestion) ->
         if d == 0:
             continue
         points = snapshot.phases[i]
-        if d < 0 and not points:
-            return f"phase {i + 1}: no load points to release"
+        if d < 0 and not any(points):
+            return f"phase {i + 1}: no load to release (no point above 0 kW)"
         if points:
             smallest = min(points)
             if not abs(d) > smallest:
@@ -215,9 +211,13 @@ def select_subset(
     Exact dynamic program over (cardinality, achievable sum) on an integer
     kW lattice: powers are scaled by the integer factor `scale` and
     rounded before the DP, so fractional data can be resolved to 1/scale
-    kW. Among all minimum-deviation subsets the lexicographically
-    smallest index set is returned; the reported deviation is measured in
-    the original units.
+    kW. Each suffix of the points keeps one Python-int bitset of
+    reachable sums per cardinality, so the solver is exact at any
+    instance size, with no size cap; time and memory grow with points x
+    cardinality x lattice sum, at one bit per sum. Among all
+    minimum-deviation subsets the lexicographically smallest index set
+    is returned; the reported deviation is measured in the original
+    units.
     """
     pts = [float(p) for p in points]
     m = len(pts)
@@ -232,26 +232,26 @@ def select_subset(
 
     weights = [round_half_away(p * scale) for p in pts]
     goal = round_half_away(target * scale)
-    total = sum(weights)
-    if (m + 1) * (n + 1) * (total + 1) > _MAX_DP_CELLS:
-        raise ValueError(
-            f"selection instance too large for the exact solver "
-            f"({m} points, sum {total} at scale {scale})"
-        )
 
-    # feasible[i, k, s]: some k-subset of points[i:] sums to exactly s.
-    feasible = np.zeros((m + 1, n + 1, total + 1), dtype=bool)
-    feasible[m, 0, 0] = True
-    for i in range(m - 1, -1, -1):
-        w = weights[i]
-        feasible[i] = feasible[i + 1]
-        taken = np.zeros_like(feasible[i + 1])
-        taken[1:, w:] = feasible[i + 1][:-1, : total + 1 - w]
-        feasible[i] = feasible[i] | taken
+    # rows[i][k]: bit s is set when some k-subset of points[i:] sums to s.
+    rows = [[1] + [0] * n]
+    for w in reversed(weights):
+        nxt = rows[-1]
+        rows.append([nxt[0]] + [nxt[k] | (nxt[k - 1] << w) for k in range(1, n + 1)])
+    rows.reverse()
 
-    reachable = np.nonzero(feasible[0, n])[0]
-    best = int(np.min(np.abs(reachable - goal)))
-    candidates = {int(s) for s in reachable if abs(int(s) - goal) == best}
+    # The nearest reachable sums at or below the goal and at or above it;
+    # some n-subset always exists, so at least one of the two is found.
+    reach = rows[0][n]
+    below = reach & ((1 << (goal + 1)) - 1)
+    above = reach >> goal
+    nearest = []
+    if below:
+        nearest.append(below.bit_length() - 1)
+    if above:
+        nearest.append(goal + (above & -above).bit_length() - 1)
+    best = min(abs(s - goal) for s in nearest)
+    candidates = {s for s in nearest if abs(s - goal) == best}
 
     # Greedy reconstruction: taking the earliest completable index at each
     # step yields the lexicographically smallest optimal index set.
@@ -261,13 +261,14 @@ def select_subset(
         if need == 0:
             break
         w = weights[i]
-        with_i = {s - w for s in candidates if s >= w and feasible[i + 1, need - 1, s - w]}
+        take, skip = rows[i + 1][need - 1], rows[i + 1][need]
+        with_i = {s - w for s in candidates if s >= w and take >> (s - w) & 1}
         if with_i:
             chosen.append(i)
             candidates = with_i
             need -= 1
         else:
-            candidates = {s for s in candidates if feasible[i + 1, need, s]}
+            candidates = {s for s in candidates if skip >> s & 1}
 
     achieved = sum(pts[i] for i in chosen)
     return SubsetSelection(tuple(chosen), float(abs(achieved - target)))

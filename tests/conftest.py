@@ -30,3 +30,28 @@ CORRECTION_FIXTURES = [
 @pytest.fixture(scope="session")
 def correction_fixtures():
     return CORRECTION_FIXTURES
+
+
+# A controller whose rule for an empty phase asks it to release load:
+# 0 kW fires LOW, which maps to a negative change.
+ZERO_RELEASE_CONTROLLER = """\
+input Load 0 300
+term LOW 0 0 150
+term HIGH 100 300 300
+output Change -150 150
+term DOWN -150 -100 0
+term UP 0 100 150
+rule LOW -> DOWN
+rule HIGH -> UP
+"""
+
+
+@pytest.fixture()
+def zero_release_controller_text():
+    return ZERO_RELEASE_CONTROLLER
+
+
+@pytest.fixture()
+def zero_release_feeder_rows():
+    """Phase 1 holds two 0 kW points; phases 2 and 3 hold 200 x 1 kW."""
+    return [[0.0, 0.0], [1.0] * 200, [1.0] * 200]

@@ -13,7 +13,8 @@ from phasebal.balancing import (
     balance,
     error_correct,
 )
-from phasebal.model import FeederSnapshot, phase_totals, system_total
+from phasebal.io import parse_controller
+from phasebal.model import FeederSnapshot, avg_unbalance, phase_totals, system_total
 from phasebal.planner import BalancePlan, Move
 
 
@@ -168,6 +169,32 @@ class TestBalance:
     def test_report_totals_match_snapshot(self, reference_feeder):
         report = balance(reference_feeder)
         assert report.final_totals == phase_totals(report.final_snapshot)
+
+    def test_zero_load_releasing_phase_is_infeasible(
+        self, zero_release_controller_text, zero_release_feeder_rows
+    ):
+        # the controller asks the all-zero phase 1 to release load
+        controller = parse_controller(zero_release_controller_text)
+        feeder = snap(*zero_release_feeder_rows)
+        report = balance(feeder, BalancerConfig(controller=controller))
+        assert report.status == INFEASIBLE
+        assert len(report.iterations) == 1
+        rec = report.iterations[0]
+        assert rec.suggestion_corrected[0] < 0
+        assert rec.plan is None
+        assert rec.infeasibility is not None and "phase 1" in rec.infeasibility
+        assert report.final_snapshot == feeder
+
+    def test_large_phase_at_fine_scale_needs_no_solver_cap(self):
+        # 250 points summing to 280 kW at scale 100, about 145 of them to
+        # choose: a dense points x cardinality x sum table would need 1e9 cells
+        heavy = [1 + (i % 25) / 100 for i in range(250)]
+        feeder = snap(heavy, [0.5] * 40, [0.5] * 40)
+        report = balance(feeder, BalancerConfig(integer_scale=100))
+        assert report.status == BALANCED
+        assert report.final_unbalance < 10.0
+        assert report.final_unbalance == avg_unbalance(phase_totals(report.final_snapshot))
+        assert system_total(report.final_snapshot) == system_total(feeder)
 
     def test_fractional_loads_with_finer_scale(self):
         feeder = snap([24.5] * 10, [12.0] * 10, [8.2] * 10)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from phasebal.cli import main
-from phasebal.io import reference_controller_text, reference_feeder_text
+from phasebal.io import reference_controller_text, reference_feeder_text, write_feeder_csv
+from phasebal.model import FeederSnapshot
 
 
 @pytest.fixture()
@@ -75,6 +76,28 @@ class TestBalanceCommand:
     def test_bad_threshold_exits_1(self, feeder_file, capsys):
         code = main(["balance", "--input", feeder_file, "--threshold", "0"])
         assert code == 1
+
+    def test_zero_load_releasing_phase_exits_2(
+        self, tmp_path, capsys, zero_release_controller_text, zero_release_feeder_rows
+    ):
+        ctrl_path = tmp_path / "ctrl.txt"
+        ctrl_path.write_text(zero_release_controller_text)
+        feeder_path = tmp_path / "feeder.csv"
+        with open(feeder_path, "w", encoding="utf-8") as fh:
+            write_feeder_csv(FeederSnapshot.from_lists(zero_release_feeder_rows), fh)
+        code = main(["balance", "--input", str(feeder_path), "--controller", str(ctrl_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "status: infeasible" in captured.out
+        assert captured.err == ""
+
+    def test_unwritable_report_exits_1(self, feeder_file, tmp_path, capsys):
+        missing_dir = tmp_path / "missing"
+        for flag, name in (("--report", "r.json"), ("--emit-moves", "m.csv")):
+            code = main(["balance", "--input", feeder_file, flag, str(missing_dir / name)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "cannot write report" in err
 
     def test_custom_controller_file(self, feeder_file, tmp_path, capsys):
         ctrl_path = tmp_path / "ctrl.txt"

@@ -72,6 +72,15 @@ class TestFeasibility:
         reason = feasibility_check(snap([], [2], [2]), s)
         assert reason is not None and "phase 1" in reason
 
+    def test_releasing_phase_with_only_zero_points(self):
+        s = ChangeSuggestion((-6, 6, 0), corrected=True)
+        reason = feasibility_check(snap([0, 0], [2], [2]), s)
+        assert reason is not None and "phase 1" in reason
+
+    def test_receiving_phase_with_only_zero_points_is_feasible(self):
+        s = ChangeSuggestion((-6, 6, 0), corrected=True)
+        assert feasibility_check(snap([3, 4], [0, 0], [2]), s) is None
+
 
 class TestPointsToMove:
     def test_reference_sizing(self):

@@ -28,6 +28,23 @@ def subset_instances(draw):
 
 
 @st.composite
+def scaled_subset_instances(draw):
+    """Fractional points on a 0.01 kW grid, zeros included, at scale 10 or 100."""
+    points = draw(
+        st.lists(st.integers(0, 500).map(lambda c: c / 100), min_size=1, max_size=10)
+    )
+    n = draw(st.integers(0, len(points)))
+    target = draw(st.integers(0, round(sum(points) * 100) + 500).map(lambda c: c / 100))
+    scale = draw(st.sampled_from([10, 100]))
+    return points, n, target, scale
+
+
+def lattice(x, scale):
+    """Round x * scale to the nearest integer, halves up (x >= 0)."""
+    return math.floor(x * scale + 0.5)
+
+
+@st.composite
 def snapshots(draw):
     phases = [
         draw(st.lists(st.integers(0, 9), min_size=1, max_size=8)) for _ in range(3)
@@ -93,6 +110,16 @@ class TestSubsetOracle:
         want_idx, want_dev = brute_force_subset(points, n, target)
         assert got.deviation == want_dev
         assert got.indices == want_idx
+
+    @given(scaled_subset_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_on_the_scaled_lattice(self, instance):
+        points, n, target, scale = instance
+        got = select_subset(points, n, target, scale)
+        weights = [lattice(p, scale) for p in points]
+        want_idx, _ = brute_force_subset(weights, n, lattice(target, scale))
+        assert got.indices == want_idx
+        assert got.deviation == abs(sum(points[i] for i in want_idx) - target)
 
     @given(subset_instances())
     @settings(max_examples=100, deadline=None)
