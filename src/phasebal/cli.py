@@ -18,6 +18,8 @@ controller's range).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from typing import Sequence
 
@@ -118,22 +120,30 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
     report = balance(snapshot, config)
 
+    # Write the files before printing, so that a failed write prints no
+    # result; remove whatever this run opened, so that none is left half done.
+    opened: list[str] = []
+    try:
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                opened.append(args.report)
+                fh.write(write_report(report) + "\n")
+        if args.emit_moves:
+            with open(args.emit_moves, "w", encoding="utf-8") as fh:
+                opened.append(args.emit_moves)
+                write_moves_csv(report, fh)
+    except OSError as exc:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise _CliError(f"cannot write report: {exc}") from None
+
     print(f"status: {report.status}")
     print(f"iterations: {len(report.iterations)}")
     print(
         f"unbalance: {report.initial_unbalance:.2f} -> {report.final_unbalance:.2f} kW"
     )
     print(f"final totals: {_fmt_totals(report.final_totals)} kW")
-
-    try:
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(write_report(report) + "\n")
-        if args.emit_moves:
-            with open(args.emit_moves, "w", encoding="utf-8") as fh:
-                write_moves_csv(report, fh)
-    except OSError as exc:
-        raise _CliError(f"cannot write report: {exc}") from None
 
     return 0 if report.status in (BALANCED, ALREADY_BALANCED) else 2
 

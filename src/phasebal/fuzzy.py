@@ -5,7 +5,10 @@ and an output "Change", each partitioned into overlapping triangular
 terms) plus a rule list pairing one input term with one output term.
 Inference clips each rule's consequent at the antecedent firing strength
 (min implication), aggregates the clipped sets by pointwise max, and
-defuzzifies by centroid.
+defuzzifies by centroid: in closed form when one consequent fires, and
+otherwise as the exact sum over the controller's uniform sample grid,
+taken piece by piece so that its cost does not depend on the sample
+count.
 
 The built-in controller (see default_controller) covers a feeder rated
 150 kW per phase with a 300 kW overload ceiling. Other ratings are
@@ -15,9 +18,9 @@ specific to the default numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import combinations
 
 from .model import PhaseTotals, round_half_away
 
@@ -94,23 +97,6 @@ def membership_at(mf: TriangularMF, x: float) -> float:
     return (right - x) / (right - apex)
 
 
-def _membership_grid(mf: TriangularMF, xs: np.ndarray) -> np.ndarray:
-    """Vectorized membership_at over a sample grid."""
-    out = np.zeros_like(xs)
-    left, apex, right = mf.left, mf.apex, mf.right
-    if apex > left:
-        rising = (xs > left) & (xs <= apex)
-        out[rising] = (xs[rising] - left) / (apex - left)
-    else:
-        out[xs == left] = 1.0
-    if right > apex:
-        falling = (xs > apex) & (xs < right)
-        out[falling] = (right - xs[falling]) / (right - apex)
-    else:
-        out[xs == right] = 1.0
-    return out
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     """A named quantity partitioned into overlapping triangular terms.
@@ -163,7 +149,9 @@ class FuzzyController:
     """Immutable Mamdani controller: input/output variables plus rules.
 
     integration_resolution is the number of uniform samples taken over
-    the output universe when the aggregated fuzzy set is defuzzified.
+    the output universe when an aggregate of two or more clipped
+    consequents is defuzzified. The sum over those samples is computed
+    piece by piece, so a larger resolution costs no time.
     """
 
     input: LinguisticVariable
@@ -204,6 +192,98 @@ def _clipped_centroid(mf: TriangularMF, strength: float) -> float:
     return sum(a * c for a, c in pieces) / area
 
 
+def _sampled_centroid(
+    clipped: list[tuple[TriangularMF, float]],
+    universe: tuple[float, float],
+    samples: int,
+) -> float:
+    """Centroid of the max-aggregate of clipped consequents on a sample grid.
+
+    Returns sum(x * agg(x)) / sum(agg(x)) over the grid x_j = j * step + lo
+    whose last point is set to hi exactly, the usual linspace grid. The
+    aggregate is linear between cuts: the knots of each clipped consequent
+    (left, the clip points p and q, right) and the points where pieces of
+    two consequents cross. The samples strictly inside a stretch between
+    cuts are summed in closed form from the line through its first and
+    last sample; samples on a cut, the last point, and stretches of two
+    samples or fewer are evaluated one by one. The cost depends on the
+    number of fired consequents, not on the sample count.
+    """
+    lo, hi = universe
+    last = samples - 1
+    step = (hi - lo) / last
+
+    def agg(x: float) -> float:
+        return max(min(w, membership_at(mf, x)) for mf, w in clipped)
+
+    def first_above(c: float) -> int:
+        """Smallest j with j * step + lo > c."""
+        j = max(0, math.floor((c - lo) / step))
+        while j * step + lo <= c:
+            j += 1
+        while j > 0 and (j - 1) * step + lo > c:
+            j -= 1
+        return j
+
+    cuts = {lo, hi}
+    segments = []  # (consequent, x0, y0, x1, y1): the linear pieces of each clipped set
+    for owner, (mf, w) in enumerate(clipped):
+        knots = (
+            (mf.left, 0.0),
+            (mf.left + w * (mf.apex - mf.left), w),
+            (mf.right - w * (mf.right - mf.apex), w),
+            (mf.right, 0.0),
+        )
+        cuts.update(x for x, _ in knots)
+        segments += [(owner, *a, *b) for a, b in zip(knots, knots[1:]) if a[0] < b[0]]
+    # Pieces of two consequents cross where their difference changes sign
+    # over the stretch both cover. The pieces come from the knots, not from
+    # membership_at, whose value at a knot that rounding moved onto the
+    # edge of the support is 0, not the limit from inside.
+    for (o1, a0, ay0, a1, ay1), (o2, b0, by0, b1, by1) in combinations(segments, 2):
+        x0, x1 = max(a0, b0), min(a1, b1)
+        if o1 == o2 or x0 >= x1:
+            continue
+        d0, d1 = (
+            ay0 + (ay1 - ay0) * (x - a0) / (a1 - a0) - by0 - (by1 - by0) * (x - b0) / (b1 - b0)
+            for x in (x0, x1)
+        )
+        if d0 * d1 < 0.0:
+            cuts.add(x0 + (x1 - x0) * d0 / (d0 - d1))
+
+    g = agg(hi)
+    s0, s1 = g, hi * g
+    direct = []  # indices of the samples evaluated one by one
+    ordered = sorted(cuts)
+    above = [first_above(c) for c in ordered]
+    for a, j0, b, jb in zip(ordered, above, ordered[1:], above[1:]):
+        if 0 < j0 <= last and (j0 - 1) * step + lo == a:
+            direct.append(j0 - 1)
+        j1 = min(jb, last) - 1
+        if j1 * step + lo == b:
+            j1 -= 1
+        n = j1 - j0 + 1
+        if n <= 2:
+            direct += range(j0, j1 + 1)
+            continue
+        x0 = j0 * step + lo
+        g0 = agg(x0)
+        slope = (agg(j1 * step + lo) - g0) / (n - 1)
+        t1 = n * (n - 1) // 2
+        t2 = (n - 1) * n * (2 * n - 1) // 6
+        # Aggregate values are multiplied in last, so that a subnormal
+        # firing strength does not lose its bits in every moment term.
+        s0 += g0 * n + slope * t1
+        s1 += g0 * (x0 * n + step * t1) + slope * (x0 * t1 + step * t2)
+    for j in direct:
+        x = j * step + lo
+        g = agg(x)
+        s0 += g
+        s1 += x * g
+    # No sample inside any fired consequent: 0/0, as the plain sum gives.
+    return s1 / s0 if s0 else math.nan
+
+
 def infer_change(ctrl: FuzzyController, load: float) -> float:
     """Defuzzified change suggestion (kW) for one phase load (kW).
 
@@ -214,7 +294,11 @@ def infer_change(ctrl: FuzzyController, load: float) -> float:
 
     When the aggregate reduces to a single clipped consequent, its
     centroid is returned in closed form (for a symmetric triangle that is
-    the apex, exactly). When no rule fires at all, which under chained
+    the apex, exactly). When two or more consequents fire, the result is
+    the exact centroid of the aggregate sampled at the controller's
+    integration_resolution uniform points over the output universe; the
+    sum is taken per linear piece, so its cost does not depend on the
+    resolution. When no rule fires at all, which under chained
     terms can only happen at the extreme ends of the input universe, the
     controller stays continuous by returning the consequent apex of the
     rule whose antecedent apex is nearest to the load.
@@ -246,12 +330,11 @@ def infer_change(ctrl: FuzzyController, load: float) -> float:
         (cons, w), = clipped.items()
         return _clipped_centroid(ctrl.output.term(cons), w)
 
-    out_lo, out_hi = ctrl.output.universe
-    xs = np.linspace(out_lo, out_hi, ctrl.integration_resolution)
-    agg = np.zeros_like(xs)
-    for cons, w in clipped.items():
-        np.maximum(agg, np.minimum(w, _membership_grid(ctrl.output.term(cons), xs)), out=agg)
-    return float(np.dot(xs, agg) / agg.sum())
+    return _sampled_centroid(
+        [(ctrl.output.term(cons), w) for cons, w in clipped.items()],
+        ctrl.output.universe,
+        ctrl.integration_resolution,
+    )
 
 
 def suggest_changes(ctrl: FuzzyController, totals: PhaseTotals) -> tuple[int, int, int]:

@@ -234,11 +234,14 @@ def select_subset(
     goal = round_half_away(target * scale)
 
     # rows[i][k]: bit s is set when some k-subset of points[i:] sums to s.
-    rows = [[1] + [0] * n]
-    for w in reversed(weights):
-        nxt = rows[-1]
-        rows.append([nxt[0]] + [nxt[k] | (nxt[k - 1] << w) for k in range(1, n + 1)])
-    rows.reverse()
+    # Only k in [n - i, m - i] is ever read: the first i points supply at
+    # most i of the n picks, and points[i:] holds m - i points. Entries
+    # outside that range, apart from the empty subset at k = 0, stay 0.
+    rows = [[1] + [0] * n for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        w, row, nxt = weights[i], rows[i], rows[i + 1]
+        for k in range(max(1, n - i), min(n, m - i) + 1):
+            row[k] = nxt[k] | (nxt[k - 1] << w)
 
     # The nearest reachable sums at or below the goal and at or above it;
     # some n-subset always exists, so at least one of the two is found.

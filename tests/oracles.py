@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately share no code with the package: the subset oracle
-enumerates combinations outright, and the centroid oracle integrates the
-aggregated output set numerically on a fine grid with membership computed
-by interpolation. Slow and simple on purpose.
+enumerates combinations outright, the fine-grid centroid oracle
+integrates the aggregated output set numerically on a fine grid with
+membership computed by interpolation, and the sampled-grid oracle sums
+the aggregate sample by sample on the controller's own grid. Slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -70,3 +72,46 @@ def fine_grid_centroid(controller, load: float, samples: int = 1_000_001) -> flo
 
     weight = float(agg.sum())
     return float(np.dot(xs, agg) / weight)
+
+
+def _membership_grid(mf, xs: np.ndarray) -> np.ndarray:
+    """Vectorized membership over a sample grid (shoulders carry 1 at their edge)."""
+    out = np.zeros_like(xs)
+    left, apex, right = mf.left, mf.apex, mf.right
+    if apex > left:
+        rising = (xs > left) & (xs <= apex)
+        out[rising] = (xs[rising] - left) / (apex - left)
+    else:
+        out[xs == left] = 1.0
+    if right > apex:
+        falling = (xs > apex) & (xs < right)
+        out[falling] = (right - xs[falling]) / (right - apex)
+    else:
+        out[xs == right] = 1.0
+    return out
+
+
+def fired_consequents(controller, load: float) -> dict[str, float]:
+    """Firing strength per consequent label (max over its rules), fired ones only."""
+    clipped: dict[str, float] = {}
+    for ant, cons in controller.rules:
+        w = float(_membership_grid(controller.input.term(ant), np.array([load]))[0])
+        if w > 0.0:
+            clipped[cons] = max(clipped.get(cons, 0.0), w)
+    return clipped
+
+
+def sampled_grid_centroid(controller, load: float) -> float:
+    """Centroid of the aggregate summed sample by sample on the controller's grid.
+
+    The grid is np.linspace over the output universe with the
+    controller's integration_resolution samples; the result is
+    dot(xs, agg) / sum(agg). Needs at least one fired rule.
+    """
+    clipped = fired_consequents(controller, load)
+    out_lo, out_hi = controller.output.universe
+    xs = np.linspace(out_lo, out_hi, controller.integration_resolution)
+    agg = np.zeros_like(xs)
+    for cons, w in clipped.items():
+        np.maximum(agg, np.minimum(w, _membership_grid(controller.output.term(cons), xs)), out=agg)
+    return float(np.dot(xs, agg) / agg.sum())

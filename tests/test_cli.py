@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phasebal
 from phasebal.cli import main
 from phasebal.io import reference_controller_text, reference_feeder_text, write_feeder_csv
 from phasebal.model import FeederSnapshot
@@ -95,9 +100,30 @@ class TestBalanceCommand:
         missing_dir = tmp_path / "missing"
         for flag, name in (("--report", "r.json"), ("--emit-moves", "m.csv")):
             code = main(["balance", "--input", feeder_file, flag, str(missing_dir / name)])
-            err = capsys.readouterr().err
+            captured = capsys.readouterr()
             assert code == 1
-            assert "cannot write report" in err
+            assert "cannot write report" in captured.err
+            assert captured.out == ""
+
+    def test_failed_moves_write_leaves_no_report(self, feeder_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        moves_path = tmp_path / "missing" / "m.csv"
+        code = main(
+            [
+                "balance",
+                "--input",
+                feeder_file,
+                "--report",
+                str(report_path),
+                "--emit-moves",
+                str(moves_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cannot write report" in captured.err
+        assert captured.out == ""
+        assert not report_path.exists()
 
     def test_custom_controller_file(self, feeder_file, tmp_path, capsys):
         ctrl_path = tmp_path / "ctrl.txt"
@@ -170,3 +196,26 @@ class TestUsageErrors:
     def test_no_arguments(self, capsys):
         code = main([])
         assert code == 1
+
+
+class TestColdStart:
+    """Fresh interpreters, as a `phasebal` console call starts one."""
+
+    @staticmethod
+    def _run(args):
+        src = str(Path(phasebal.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_cli_import_does_not_load_numpy(self):
+        proc = self._run(["-c", 'import phasebal.cli, sys; print("numpy" in sys.modules)'])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_balance_process_on_reference_feeder(self, feeder_file):
+        proc = self._run(["-m", "phasebal", "balance", "--input", feeder_file])
+        assert proc.returncode == 0, proc.stderr
+        assert "final totals: 146 / 150 / 151 kW" in proc.stdout.splitlines()

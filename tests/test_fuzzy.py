@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from phasebal.fuzzy import (
@@ -163,6 +165,57 @@ class TestAsymmetricConsequent:
             exact = infer_change(ctrl, load)
             approx = fine_grid_centroid(ctrl, load, samples=400_001)
             assert abs(exact - approx) < 1e-3
+
+
+class TestSampledCentroid:
+    def test_consequents_between_samples_give_nan(self):
+        # Both fired consequents fall between two grid points, so the
+        # sampled aggregate is 0 everywhere and its centroid is 0/0.
+        ctrl = FuzzyController(
+            LinguisticVariable(
+                "x",
+                (0.0, 100.0),
+                (TriangularMF("a", 0.0, 0.0, 100.0), TriangularMF("b", 0.0, 100.0, 100.0)),
+            ),
+            LinguisticVariable(
+                "y",
+                (-150.0, 150.0),
+                (
+                    TriangularMF("wide", -150.0, -150.0, 150.0),
+                    TriangularMF("n1", 10.01, 10.02, 10.03),
+                    TriangularMF("n2", 20.01, 20.02, 20.03),
+                ),
+            ),
+            (("a", "n1"), ("b", "n2")),
+            integration_resolution=1000,
+        )
+        assert math.isnan(infer_change(ctrl, 50.0))
+
+
+    def test_clip_point_rounded_onto_the_support_edge(self):
+        # O0's apex sits one ulp-scale step below its right edge, so at
+        # strength 0.25 its right clip point rounds onto that edge, where
+        # membership is 0; its plateau still crosses O1's falling edge at 75.
+        from .oracles import sampled_grid_centroid
+
+        ctrl = FuzzyController(
+            LinguisticVariable(
+                "x",
+                (0.0, 100.0),
+                (TriangularMF("a", 0.0, 0.0, 100.0), TriangularMF("b", 0.0, 100.0, 100.0)),
+            ),
+            LinguisticVariable(
+                "y",
+                (-150.0, 150.0),
+                (
+                    TriangularMF("O0", -150.0, 149.99999999999994, 150.0),
+                    TriangularMF("O1", -150.0, -150.0, 150.0),
+                ),
+            ),
+            (("a", "O0"), ("b", "O1")),
+            integration_resolution=1000,
+        )
+        assert abs(infer_change(ctrl, 75.0) - sampled_grid_centroid(ctrl, 75.0)) <= 1e-9
 
 
 class TestResponseSamples:

@@ -1,10 +1,13 @@
 import math
+import sys
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasebal.balancing import balance, error_correct
 from phasebal.fuzzy import (
+    FuzzyController,
+    LinguisticVariable,
     TriangularMF,
     default_controller,
     infer_change,
@@ -14,7 +17,12 @@ from phasebal.fuzzy import (
 from phasebal.model import FeederSnapshot, avg_unbalance, round_half_away, system_total
 from phasebal.planner import points_to_move, select_subset
 
-from .oracles import brute_force_subset, fine_grid_centroid
+from .oracles import (
+    brute_force_subset,
+    fine_grid_centroid,
+    fired_consequents,
+    sampled_grid_centroid,
+)
 
 CONTROLLER = default_controller()
 
@@ -42,6 +50,56 @@ def scaled_subset_instances(draw):
 def lattice(x, scale):
     """Round x * scale to the nearest integer, halves up (x >= 0)."""
     return math.floor(x * scale + 0.5)
+
+
+@st.composite
+def multi_rule_cases(draw):
+    """A custom controller plus a load at which two or more consequents fire.
+
+    Output terms may be shoulders (left == apex or apex == right) and may
+    touch either end of the universe; a term spanning the whole universe
+    keeps its coverage gap-free. Every input term spans the whole input
+    universe, so every rule fires inside it, and rules may share a
+    consequent.
+    """
+    lo = draw(st.sampled_from([-150.0, -100.0]) | st.floats(-300, 0))
+    hi = lo + draw(st.sampled_from([300.0, 200.0]) | st.floats(10, 400))
+    fraction = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+
+    def at(f):
+        return min(hi, lo + f * (hi - lo))
+
+    terms = []
+    for i in range(draw(st.integers(2, 4))):
+        left, apex, right = sorted(draw(st.lists(fraction, min_size=3, max_size=3)))
+        # wide enough to hold samples at every resolution drawn below
+        assume(right - left >= 0.01)
+        shape = draw(st.sampled_from(["triangle", "left shoulder", "right shoulder"]))
+        if shape == "left shoulder":
+            apex = left
+        elif shape == "right shoulder":
+            apex = right
+        terms.append(TriangularMF(f"O{i}", at(left), at(apex), at(right)))
+    terms.append(TriangularMF("ALL", lo, at(draw(fraction)), hi))
+    output = LinguisticVariable("Change", (lo, hi), tuple(terms))
+
+    apexes = draw(
+        st.lists(st.sampled_from([0.0, 100.0]) | st.floats(0, 100), min_size=2, max_size=5)
+    )
+    inputs = tuple(TriangularMF(f"I{i}", 0.0, a, 100.0) for i, a in enumerate(apexes))
+    labels = [t.label for t in terms]
+    rules = tuple((t.label, draw(st.sampled_from(labels))) for t in inputs)
+    resolution = draw(st.sampled_from([1000, 1001, 2001, 10001]))
+    controller = FuzzyController(
+        LinguisticVariable("Load", (0.0, 100.0), inputs), output, rules, resolution
+    )
+    load = draw(st.floats(0, 100))
+    strengths = fired_consequents(controller, load).values()
+    assume(len(strengths) >= 2)
+    # A subnormal strength keeps too few bits for the sample-by-sample sum
+    # to serve as the reference: each x * w rounds to a multiple of 2**-1074.
+    assume(min(strengths) >= sys.float_info.min)
+    return controller, load
 
 
 @st.composite
@@ -143,6 +201,35 @@ class TestCentroidOracle:
     def test_output_stays_in_universe(self, load):
         lo, hi = CONTROLLER.output.universe
         assert lo <= infer_change(CONTROLLER, load) <= hi
+
+
+class TestSampledCentroid:
+    """The multi-rule centroid equals the sample-by-sample sum on the same grid."""
+
+    @given(multi_rule_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sampled_grid_on_custom_controllers(self, case):
+        controller, load = case
+        fast = infer_change(controller, load)
+        slow = sampled_grid_centroid(controller, load)
+        assert abs(fast - slow) <= 1e-9
+        # Within 1e-9 of a .5 tie the rounded value turns on the last bits
+        # of the summation order, which the two sums do not share.
+        if abs(abs(slow) % 1 - 0.5) > 1e-9:
+            assert round_half_away(fast) == round_half_away(slow)
+
+    def test_default_controller_sweep_rounds_identically(self):
+        multi_rule = 0
+        for k in range(6001):
+            load = k / 20
+            if len(fired_consequents(CONTROLLER, load)) < 2:
+                continue
+            multi_rule += 1
+            fast = infer_change(CONTROLLER, load)
+            slow = sampled_grid_centroid(CONTROLLER, load)
+            assert abs(fast - slow) <= 1e-9, load
+            assert round_half_away(fast) == round_half_away(slow), load
+        assert multi_rule > 2000
 
 
 class TestCorrectionProperties:
