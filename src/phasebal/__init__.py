@@ -21,6 +21,7 @@ from .balancing import (
     error_correct,
 )
 from .fuzzy import (
+    ControllerFormatError,
     FuzzyController,
     LinguisticVariable,
     TriangularMF,
@@ -28,30 +29,27 @@ from .fuzzy import (
     default_controller,
     infer_change,
     membership_at,
+    parse_controller,
+    reference_controller_text,
     response_samples,
     suggest_changes,
+    write_controller,
 )
 from .io import (
-    ControllerFormatError,
     FeederFormatError,
     load_reference_feeder,
-    parse_controller,
     parse_feeder_csv,
-    reference_controller_text,
     reference_feeder_text,
-    write_controller,
     write_feeder_csv,
     write_moves_csv,
     write_report,
 )
 from .model import (
-    Branch,
     FeederSnapshot,
     avg_unbalance,
     phase_totals,
     round_half_away,
     system_total,
-    total_power_loss,
 )
 from .planner import (
     BalancePlan,
@@ -73,21 +71,23 @@ __all__ = [
     "__version__",
     # model
     "FeederSnapshot",
-    "Branch",
     "phase_totals",
     "system_total",
     "avg_unbalance",
-    "total_power_loss",
     "round_half_away",
     # fuzzy
     "TriangularMF",
     "LinguisticVariable",
     "FuzzyController",
     "UniverseError",
+    "ControllerFormatError",
     "membership_at",
     "infer_change",
     "suggest_changes",
     "response_samples",
+    "parse_controller",
+    "write_controller",
+    "reference_controller_text",
     "default_controller",
     # planner
     "ChangeSuggestion",
@@ -115,14 +115,10 @@ __all__ = [
     "OVER_CAPACITY",
     # io
     "FeederFormatError",
-    "ControllerFormatError",
     "parse_feeder_csv",
     "write_feeder_csv",
-    "parse_controller",
-    "write_controller",
     "write_report",
     "write_moves_csv",
     "load_reference_feeder",
     "reference_feeder_text",
-    "reference_controller_text",
 ]

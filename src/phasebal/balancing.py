@@ -178,28 +178,15 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
         ae, error, corrected = error_correct(raw)
         suggestion = ChangeSuggestion(corrected, corrected=True)
 
+        # An infeasible pass moves nothing: its totals stay as they were.
         reason = feasibility_check(current, suggestion)
-        if reason is not None:
-            records.append(
-                IterationRecord(
-                    totals_before=totals,
-                    suggestion_raw=raw,
-                    average_error=ae,
-                    error_vector=error,
-                    suggestion_corrected=corrected,
-                    plan=None,
-                    infeasibility=reason,
-                    totals_after=totals,
-                    unbalance_after=unbalance,
-                )
-            )
-            status = INFEASIBLE
-            break
-
-        vector = determine(current, suggestion, cfg.integer_scale)
-        plan = distribute(vector, suggestion, cfg.integer_scale)
-        current = apply_plan(current, plan)
-        totals_after = phase_totals(current)
+        plan, totals_after, unbalance_after = None, totals, unbalance
+        if reason is None:
+            vector = determine(current, suggestion, cfg.integer_scale)
+            plan = distribute(vector, suggestion, cfg.integer_scale)
+            current = apply_plan(current, plan)
+            totals_after = phase_totals(current)
+            unbalance_after = avg_unbalance(totals_after)
         records.append(
             IterationRecord(
                 totals_before=totals,
@@ -208,11 +195,14 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
                 error_vector=error,
                 suggestion_corrected=corrected,
                 plan=plan,
-                infeasibility=None,
+                infeasibility=reason,
                 totals_after=totals_after,
-                unbalance_after=avg_unbalance(totals_after),
+                unbalance_after=unbalance_after,
             )
         )
+        if reason is not None:
+            status = INFEASIBLE
+            break
 
     final_totals = phase_totals(current)
     return BalanceReport(

@@ -24,15 +24,15 @@ import sys
 from typing import Sequence
 
 from .balancing import ALREADY_BALANCED, BALANCED, BalancerConfig, balance
-from .fuzzy import UniverseError, default_controller, infer_change, response_samples
-from .io import (
+from .fuzzy import (
     ControllerFormatError,
-    FeederFormatError,
+    UniverseError,
+    default_controller,
+    infer_change,
     parse_controller,
-    parse_feeder_csv,
-    write_moves_csv,
-    write_report,
+    response_samples,
 )
+from .io import FeederFormatError, parse_feeder_csv, write_moves_csv, write_report
 from .model import avg_unbalance, phase_totals
 
 __all__ = ["main"]

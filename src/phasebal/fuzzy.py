@@ -10,17 +10,22 @@ otherwise as the exact sum over the controller's uniform sample grid,
 taken piece by piece so that its cost does not depend on the sample
 count.
 
-The built-in controller (see default_controller) covers a feeder rated
-150 kW per phase with a 300 kW overload ceiling. Other ratings are
-supported by loading a different controller definition; nothing below is
-specific to the default numbers.
+Controllers are read from a small line grammar (parse_controller). The
+built-in controller is the bundled definition data/controller.txt, parsed
+once (default_controller); it covers a feeder rated 150 kW per phase with
+a 300 kW overload ceiling. Other ratings are supported by loading a
+different controller definition; nothing below is specific to the default
+numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from importlib import resources
 from itertools import combinations
+from typing import TextIO
 
 from .model import PhaseTotals, round_half_away
 
@@ -30,12 +35,15 @@ __all__ = [
     "Rule",
     "FuzzyController",
     "UniverseError",
+    "ControllerFormatError",
     "membership_at",
     "infer_change",
     "suggest_changes",
     "response_samples",
+    "parse_controller",
+    "write_controller",
+    "reference_controller_text",
     "default_controller",
-    "DEFAULT_RESOLUTION",
 ]
 
 DEFAULT_RESOLUTION = 10001
@@ -151,7 +159,9 @@ class FuzzyController:
     integration_resolution is the number of uniform samples taken over
     the output universe when an aggregate of two or more clipped
     consequents is defuzzified. The sum over those samples is computed
-    piece by piece, so a larger resolution costs no time.
+    piece by piece, so a larger resolution costs no time. Every output
+    term must hold a sample with membership above 0, so that such an
+    aggregate never sums to 0.
     """
 
     input: LinguisticVariable
@@ -169,6 +179,32 @@ class FuzzyController:
             raise ValueError(
                 f"integration resolution must be >= 1000, got {self.integration_resolution}"
             )
+        lo, hi = self.output.universe
+        last = self.integration_resolution - 1
+        step = (hi - lo) / last
+        for mf in self.output.terms:
+            # Membership is above 0 only inside (left, right) or on a
+            # shoulder's edge, so the two samples around left decide.
+            j = _first_above(mf.left, lo, step)
+            if not any(
+                membership_at(mf, hi if i == last else i * step + lo) > 0.0
+                for i in (j - 1, j)
+                if 0 <= i <= last
+            ):
+                raise ValueError(
+                    f"variable {self.output.name}: term {mf.label} holds no sample of "
+                    f"the {self.integration_resolution}-point grid over [{lo}, {hi}]"
+                )
+
+
+def _first_above(c: float, lo: float, step: float) -> int:
+    """Smallest j with j * step + lo > c."""
+    j = max(0, math.floor((c - lo) / step))
+    while j * step + lo <= c:
+        j += 1
+    while j > 0 and (j - 1) * step + lo > c:
+        j -= 1
+    return j
 
 
 def _clipped_centroid(mf: TriangularMF, strength: float) -> float:
@@ -216,15 +252,6 @@ def _sampled_centroid(
     def agg(x: float) -> float:
         return max(min(w, membership_at(mf, x)) for mf, w in clipped)
 
-    def first_above(c: float) -> int:
-        """Smallest j with j * step + lo > c."""
-        j = max(0, math.floor((c - lo) / step))
-        while j * step + lo <= c:
-            j += 1
-        while j > 0 and (j - 1) * step + lo > c:
-            j -= 1
-        return j
-
     cuts = {lo, hi}
     segments = []  # (consequent, x0, y0, x1, y1): the linear pieces of each clipped set
     for owner, (mf, w) in enumerate(clipped):
@@ -255,7 +282,7 @@ def _sampled_centroid(
     s0, s1 = g, hi * g
     direct = []  # indices of the samples evaluated one by one
     ordered = sorted(cuts)
-    above = [first_above(c) for c in ordered]
+    above = [_first_above(c, lo, step) for c in ordered]
     for a, j0, b, jb in zip(ordered, above, ordered[1:], above[1:]):
         if 0 < j0 <= last and (j0 - 1) * step + lo == a:
             direct.append(j0 - 1)
@@ -280,8 +307,7 @@ def _sampled_centroid(
         g = agg(x)
         s0 += g
         s1 += x * g
-    # No sample inside any fired consequent: 0/0, as the plain sum gives.
-    return s1 / s0 if s0 else math.nan
+    return s1 / s0
 
 
 def infer_change(ctrl: FuzzyController, load: float) -> float:
@@ -374,50 +400,141 @@ def response_samples(ctrl: FuzzyController, step: float = 1.0) -> list[tuple[flo
     return samples
 
 
-def default_controller(integration_resolution: int = DEFAULT_RESOLUTION) -> FuzzyController:
+class ControllerFormatError(ValueError):
+    """Malformed controller definition."""
+
+
+def parse_controller(text: str) -> FuzzyController:
+    """Parse a controller definition.
+
+    Line grammar, one statement per line, '#' starts a comment:
+
+        input <name> <min> <max>
+        output <name> <min> <max>
+        term <label> <left> <apex> <right>     (attaches to the variable
+                                                declared most recently)
+        rule <input-term> -> <output-term>
+        resolution <samples>                   (optional)
+    """
+    input_decl: tuple[str, float, float] | None = None
+    output_decl: tuple[str, float, float] | None = None
+    input_terms: list[TriangularMF] = []
+    output_terms: list[TriangularMF] = []
+    current: list[TriangularMF] | None = None
+    rules: list[tuple[str, str]] = []
+    resolution = DEFAULT_RESOLUTION
+
+    def fail(lineno: int, msg: str) -> ControllerFormatError:
+        return ControllerFormatError(f"line {lineno}: {msg}")
+
+    def floats(lineno: int, parts: list[str]) -> list[float]:
+        vals = []
+        for p in parts:
+            try:
+                vals.append(float(p))
+            except ValueError:
+                raise fail(lineno, f"{p!r} is not a number") from None
+        return vals
+
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        keyword = parts[0].lower()
+
+        if keyword in ("input", "output"):
+            if len(parts) != 4:
+                raise fail(lineno, f"{keyword} takes a name and two bounds")
+            lo, hi = floats(lineno, parts[2:])
+            decl = (parts[1], lo, hi)
+            if keyword == "input":
+                if input_decl is not None:
+                    raise fail(lineno, "duplicate input declaration")
+                input_decl = decl
+                current = input_terms
+            else:
+                if output_decl is not None:
+                    raise fail(lineno, "duplicate output declaration")
+                output_decl = decl
+                current = output_terms
+        elif keyword == "term":
+            if current is None:
+                raise fail(lineno, "term before any input/output declaration")
+            if len(parts) != 5:
+                raise fail(lineno, "term takes a label and three breakpoints")
+            left, apex, right = floats(lineno, parts[2:])
+            try:
+                current.append(TriangularMF(parts[1], left, apex, right))
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from None
+        elif keyword == "rule":
+            if len(parts) != 4 or parts[2] != "->":
+                raise fail(lineno, "rule syntax is: rule <input-term> -> <output-term>")
+            rules.append((parts[1], parts[3]))
+        elif keyword == "resolution":
+            if len(parts) != 2:
+                raise fail(lineno, "resolution takes one integer")
+            try:
+                resolution = int(parts[1])
+            except ValueError:
+                raise fail(lineno, f"{parts[1]!r} is not an integer") from None
+        else:
+            raise fail(lineno, f"unknown statement {parts[0]!r}")
+
+    if input_decl is None:
+        raise ControllerFormatError("missing input declaration")
+    if output_decl is None:
+        raise ControllerFormatError("missing output declaration")
+    if not rules:
+        raise ControllerFormatError("controller defines no rules")
+    try:
+        input_var = LinguisticVariable(
+            input_decl[0], (input_decl[1], input_decl[2]), tuple(input_terms)
+        )
+        output_var = LinguisticVariable(
+            output_decl[0], (output_decl[1], output_decl[2]), tuple(output_terms)
+        )
+        return FuzzyController(input_var, output_var, tuple(rules), resolution)
+    except (ValueError, KeyError) as exc:
+        raise ControllerFormatError(str(exc)) from None
+
+
+def _format_breakpoint(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def write_controller(controller: FuzzyController, out: TextIO) -> None:
+    """Write a controller in the format parse_controller reads."""
+    for var, kind in ((controller.input, "input"), (controller.output, "output")):
+        lo, hi = var.universe
+        out.write(f"{kind} {var.name} {_format_breakpoint(lo)} {_format_breakpoint(hi)}\n")
+        for mf in var.terms:
+            out.write(
+                f"term {mf.label} {_format_breakpoint(mf.left)} "
+                f"{_format_breakpoint(mf.apex)} {_format_breakpoint(mf.right)}\n"
+            )
+        out.write("\n")
+    for antecedent, consequent in controller.rules:
+        out.write(f"rule {antecedent} -> {consequent}\n")
+    if controller.integration_resolution != DEFAULT_RESOLUTION:
+        out.write(f"resolution {controller.integration_resolution}\n")
+
+
+def reference_controller_text() -> str:
+    """Raw text of the bundled controller definition, data/controller.txt."""
+    return resources.files("phasebal.data").joinpath("controller.txt").read_text(
+        encoding="utf-8"
+    )
+
+
+@cache
+def default_controller() -> FuzzyController:
     """Built-in controller for a 150 kW per phase feeder (300 kW ceiling).
 
-    Eight load terms from Very Less Loaded to Heavily Overloaded, eight
-    change terms from High Subtraction to Very Large Addition, one rule
-    per load term. Each term is a symmetric triangle with its apex at the
-    midpoint of the term's range.
+    The bundled data/controller.txt, parsed on the first call; later calls
+    return the same object. Eight load terms from Very Less Loaded to
+    Heavily Overloaded, eight change terms from High Subtraction to Very
+    Large Addition, one rule per load term.
     """
-    load = LinguisticVariable(
-        name="Load",
-        universe=(0.0, 300.0),
-        terms=(
-            TriangularMF("VLL", 0.0, 25.0, 50.0),
-            TriangularMF("LL", 35.0, 60.0, 85.0),
-            TriangularMF("MLL", 65.0, 90.0, 115.0),
-            TriangularMF("PL", 100.0, 125.0, 150.0),
-            TriangularMF("SOL", 125.0, 150.0, 175.0),
-            TriangularMF("MOL", 165.0, 190.0, 215.0),
-            TriangularMF("OL", 200.0, 225.0, 250.0),
-            TriangularMF("HOL", 235.0, 267.5, 300.0),
-        ),
-    )
-    change = LinguisticVariable(
-        name="Change",
-        universe=(-150.0, 150.0),
-        terms=(
-            TriangularMF("HS", -150.0, -117.5, -85.0),
-            TriangularMF("S", -100.0, -75.0, -50.0),
-            TriangularMF("MS", -65.0, -40.0, -15.0),
-            TriangularMF("SS", -50.0, -12.5, 25.0),
-            TriangularMF("PA", 0.0, 25.0, 50.0),
-            TriangularMF("MA", 35.0, 60.0, 85.0),
-            TriangularMF("LA", 65.0, 90.0, 115.0),
-            TriangularMF("VLA", 100.0, 125.0, 150.0),
-        ),
-    )
-    rules: tuple[Rule, ...] = (
-        ("VLL", "VLA"),
-        ("LL", "LA"),
-        ("MLL", "MA"),
-        ("PL", "PA"),
-        ("SOL", "SS"),
-        ("MOL", "MS"),
-        ("OL", "S"),
-        ("HOL", "HS"),
-    )
-    return FuzzyController(load, change, rules, integration_resolution)
+    return parse_controller(reference_controller_text())

@@ -1,12 +1,11 @@
-"""File formats: feeder CSV, controller definition text, JSON run reports.
+"""File formats: feeder CSV and JSON run reports.
 
 The feeder CSV is column-per-phase with a fixed three-column header; rows
 are positional load points and blank cells mean the phase has no point in
-that row (phases rarely have equal point counts). The controller format
-is a small line grammar so alternative membership layouts can be swapped
-in without touching code. Reports serialize a BalanceReport to JSON with
-1-based phase numbers and point positions, matching how feeder data is
-usually tabulated.
+that row (phases rarely have equal point counts). Reports serialize a
+BalanceReport to JSON with 1-based phase numbers and point positions,
+matching how feeder data is usually tabulated. The controller grammar
+lives with the controller types, in fuzzy.py.
 """
 
 from __future__ import annotations
@@ -19,26 +18,16 @@ from importlib import resources
 from typing import TextIO
 
 from .balancing import INFEASIBLE, BalanceReport
-from .fuzzy import (
-    DEFAULT_RESOLUTION,
-    FuzzyController,
-    LinguisticVariable,
-    TriangularMF,
-)
 from .model import FeederSnapshot
 
 __all__ = [
     "FeederFormatError",
-    "ControllerFormatError",
     "parse_feeder_csv",
     "write_feeder_csv",
-    "parse_controller",
-    "write_controller",
     "write_report",
     "write_moves_csv",
     "load_reference_feeder",
     "reference_feeder_text",
-    "reference_controller_text",
 ]
 
 _HEADER = ("phase1", "phase2", "phase3")
@@ -46,10 +35,6 @@ _HEADER = ("phase1", "phase2", "phase3")
 
 class FeederFormatError(ValueError):
     """Malformed feeder CSV."""
-
-
-class ControllerFormatError(ValueError):
-    """Malformed controller definition."""
 
 
 def parse_feeder_csv(text: str) -> FeederSnapshot:
@@ -118,123 +103,6 @@ def write_feeder_csv(snapshot: FeederSnapshot, out: TextIO) -> None:
         out.write(",".join(cells) + "\n")
 
 
-def parse_controller(text: str) -> FuzzyController:
-    """Parse a controller definition.
-
-    Line grammar, one statement per line, '#' starts a comment:
-
-        input <name> <min> <max>
-        output <name> <min> <max>
-        term <label> <left> <apex> <right>     (attaches to the variable
-                                                declared most recently)
-        rule <input-term> -> <output-term>
-        resolution <samples>                   (optional)
-    """
-    input_decl: tuple[str, float, float] | None = None
-    output_decl: tuple[str, float, float] | None = None
-    input_terms: list[TriangularMF] = []
-    output_terms: list[TriangularMF] = []
-    current: list[TriangularMF] | None = None
-    rules: list[tuple[str, str]] = []
-    resolution = DEFAULT_RESOLUTION
-
-    def fail(lineno: int, msg: str) -> ControllerFormatError:
-        return ControllerFormatError(f"line {lineno}: {msg}")
-
-    def floats(lineno: int, parts: list[str]) -> list[float]:
-        vals = []
-        for p in parts:
-            try:
-                vals.append(float(p))
-            except ValueError:
-                raise fail(lineno, f"{p!r} is not a number") from None
-        return vals
-
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        keyword = parts[0].lower()
-
-        if keyword in ("input", "output"):
-            if len(parts) != 4:
-                raise fail(lineno, f"{keyword} takes a name and two bounds")
-            lo, hi = floats(lineno, parts[2:])
-            decl = (parts[1], lo, hi)
-            if keyword == "input":
-                if input_decl is not None:
-                    raise fail(lineno, "duplicate input declaration")
-                input_decl = decl
-                current = input_terms
-            else:
-                if output_decl is not None:
-                    raise fail(lineno, "duplicate output declaration")
-                output_decl = decl
-                current = output_terms
-        elif keyword == "term":
-            if current is None:
-                raise fail(lineno, "term before any input/output declaration")
-            if len(parts) != 5:
-                raise fail(lineno, "term takes a label and three breakpoints")
-            left, apex, right = floats(lineno, parts[2:])
-            try:
-                current.append(TriangularMF(parts[1], left, apex, right))
-            except ValueError as exc:
-                raise fail(lineno, str(exc)) from None
-        elif keyword == "rule":
-            if len(parts) != 4 or parts[2] != "->":
-                raise fail(lineno, "rule syntax is: rule <input-term> -> <output-term>")
-            rules.append((parts[1], parts[3]))
-        elif keyword == "resolution":
-            if len(parts) != 2:
-                raise fail(lineno, "resolution takes one integer")
-            try:
-                resolution = int(parts[1])
-            except ValueError:
-                raise fail(lineno, f"{parts[1]!r} is not an integer") from None
-        else:
-            raise fail(lineno, f"unknown statement {parts[0]!r}")
-
-    if input_decl is None:
-        raise ControllerFormatError("missing input declaration")
-    if output_decl is None:
-        raise ControllerFormatError("missing output declaration")
-    if not rules:
-        raise ControllerFormatError("controller defines no rules")
-    try:
-        input_var = LinguisticVariable(
-            input_decl[0], (input_decl[1], input_decl[2]), tuple(input_terms)
-        )
-        output_var = LinguisticVariable(
-            output_decl[0], (output_decl[1], output_decl[2]), tuple(output_terms)
-        )
-        return FuzzyController(input_var, output_var, tuple(rules), resolution)
-    except (ValueError, KeyError) as exc:
-        raise ControllerFormatError(str(exc)) from None
-
-
-def _format_breakpoint(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
-def write_controller(controller: FuzzyController, out: TextIO) -> None:
-    """Write a controller in the format parse_controller reads."""
-    for var, kind in ((controller.input, "input"), (controller.output, "output")):
-        lo, hi = var.universe
-        out.write(f"{kind} {var.name} {_format_breakpoint(lo)} {_format_breakpoint(hi)}\n")
-        for mf in var.terms:
-            out.write(
-                f"term {mf.label} {_format_breakpoint(mf.left)} "
-                f"{_format_breakpoint(mf.apex)} {_format_breakpoint(mf.right)}\n"
-            )
-        out.write("\n")
-    for antecedent, consequent in controller.rules:
-        out.write(f"rule {antecedent} -> {consequent}\n")
-    if controller.integration_resolution != DEFAULT_RESOLUTION:
-        out.write(f"resolution {controller.integration_resolution}\n")
-
-
 def _jsonify(value: float) -> float | int:
     return int(value) if float(value).is_integer() else float(value)
 
@@ -296,20 +164,14 @@ def write_moves_csv(report: BalanceReport, out: TextIO) -> None:
             )
 
 
-def _read_data(name: str) -> str:
-    return resources.files("phasebal.data").joinpath(name).read_text(encoding="utf-8")
-
-
 def reference_feeder_text() -> str:
     """Raw CSV text of the bundled 50-row reference feeder."""
-    return _read_data("reference_feeder.csv")
+    return resources.files("phasebal.data").joinpath("reference_feeder.csv").read_text(
+        encoding="utf-8"
+    )
 
 
 def load_reference_feeder() -> FeederSnapshot:
     """The bundled three-phase reference feeder (totals 245/120/82 kW)."""
     return parse_feeder_csv(reference_feeder_text())
 
-
-def reference_controller_text() -> str:
-    """Raw text of the bundled controller definition."""
-    return _read_data("controller.txt")

@@ -1,4 +1,4 @@
-"""Domain model for a three-phase feeder and its unbalance diagnostics.
+"""Domain model for a three-phase feeder and its unbalance metric.
 
 A feeder is modeled as three phase conductors, each carrying a list of
 single-phase load points (kW). Load points are movable between phases;
@@ -11,17 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "NUM_PHASES",
     "FeederSnapshot",
     "PhaseTotals",
-    "Branch",
     "phase_totals",
     "system_total",
     "avg_unbalance",
-    "total_power_loss",
     "round_half_away",
 ]
 
@@ -73,26 +71,6 @@ class FeederSnapshot:
         return cls(tuple(tuple(ph) for ph in phases))
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One branch of the network, for the resistive-loss diagnostic.
-
-    r is the branch resistance (ohm), p and q the real (kW) and reactive
-    (kVAr) power flow, v_mag the voltage magnitude (V, strictly positive).
-    """
-
-    r: float
-    p: float
-    q: float
-    v_mag: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"branch resistance must be >= 0, got {self.r!r}")
-        if self.v_mag <= 0:
-            raise ValueError(f"branch voltage must be > 0, got {self.v_mag!r}")
-
-
 def phase_totals(snapshot: FeederSnapshot) -> PhaseTotals:
     """Total load per phase. Exact (fsum) per phase, no rounding."""
     t = tuple(math.fsum(ph) for ph in snapshot.phases)
@@ -120,17 +98,3 @@ def avg_unbalance(totals: Sequence[float]) -> float:
     t1, t2, t3 = totals
     # fsum keeps the metric independent of phase ordering
     return math.fsum((abs(t1 - t2), abs(t2 - t3), abs(t3 - t1))) / 3.0
-
-
-def total_power_loss(branches: Iterable[Branch]) -> float:
-    """Total resistive loss over the branches: sum of r * (p^2 + q^2) / v^2.
-
-    A motivating diagnostic only; the balancing pipeline itself never
-    needs branch data.
-    """
-    terms = []
-    for i, b in enumerate(branches):
-        if b.v_mag == 0:
-            raise ValueError(f"branch {i} has zero voltage magnitude")
-        terms.append(b.r * (b.p * b.p + b.q * b.q) / (b.v_mag * b.v_mag))
-    return math.fsum(terms)

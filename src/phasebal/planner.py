@@ -119,11 +119,9 @@ class Move:
 
 @dataclass(frozen=True)
 class BalancePlan:
-    """Concrete set of moves plus per-phase released/received tallies."""
+    """Concrete set of moves; per-phase released/received tallies derive from it."""
 
     moves: tuple[Move, ...]
-    released_per_phase: tuple[float, float, float]
-    received_per_phase: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         for m in self.moves:
@@ -131,18 +129,22 @@ class BalancePlan:
                 raise ValueError(f"move of point {m.point_index} stays on phase {m.source_phase + 1}")
             if not (0 <= m.source_phase < NUM_PHASES and 0 <= m.dest_phase < NUM_PHASES):
                 raise ValueError(f"move references phase outside 1..{NUM_PHASES}")
-        # fsum keeps the tally check exact regardless of accumulation order
-        if self.released_per_phase != _phase_tally(self.moves, "source_phase"):
-            raise ValueError("released tally does not match the moves")
-        if self.received_per_phase != _phase_tally(self.moves, "dest_phase"):
-            raise ValueError("received tally does not match the moves")
 
+    @property
+    def released_per_phase(self) -> tuple[float, float, float]:
+        """kW leaving each phase (exact fsum)."""
+        return self._tally("source_phase")
 
-def _phase_tally(moves: Sequence[Move], attr: str) -> tuple[float, float, float]:
-    return tuple(
-        math.fsum(m.power for m in moves if getattr(m, attr) == i)
-        for i in range(NUM_PHASES)
-    )
+    @property
+    def received_per_phase(self) -> tuple[float, float, float]:
+        """kW arriving on each phase (exact fsum)."""
+        return self._tally("dest_phase")
+
+    def _tally(self, attr: str) -> tuple[float, float, float]:
+        return tuple(
+            math.fsum(m.power for m in self.moves if getattr(m, attr) == i)
+            for i in range(NUM_PHASES)
+        )
 
 
 class SubsetSelection(NamedTuple):
@@ -326,10 +328,9 @@ def distribute(
         to_first = set(picked.indices)
         dest = {k: (first if k in to_first else second) for k in range(len(entries))}
 
-    moves = tuple(
-        Move(e.source_phase, e.point_index, dest[k], e.power)
-        for k, e in enumerate(entries)
-    )
     return BalancePlan(
-        moves, _phase_tally(moves, "source_phase"), _phase_tally(moves, "dest_phase")
+        tuple(
+            Move(e.source_phase, e.point_index, dest[k], e.power)
+            for k, e in enumerate(entries)
+        )
     )

@@ -8,7 +8,8 @@ import pytest
 
 import phasebal
 from phasebal.cli import main
-from phasebal.io import reference_controller_text, reference_feeder_text, write_feeder_csv
+from phasebal.fuzzy import reference_controller_text
+from phasebal.io import reference_feeder_text, write_feeder_csv
 from phasebal.model import FeederSnapshot
 
 
@@ -124,6 +125,23 @@ class TestBalanceCommand:
         assert "cannot write report" in captured.err
         assert captured.out == ""
         assert not report_path.exists()
+
+    def test_controller_with_an_unsampled_term_exits_1(self, feeder_file, tmp_path, capsys):
+        # n1 and n2 lie between two samples of the 1000-point output grid.
+        ctrl_path = tmp_path / "ctrl.txt"
+        ctrl_path.write_text(
+            "input x 0 300\nterm a 0 0 300\nterm b 0 300 300\n"
+            "output y -150 150\nterm wide -150 -150 150\n"
+            "term n1 10.01 10.02 10.03\nterm n2 20.01 20.02 20.03\n"
+            "rule a -> n1\nrule b -> n2\nresolution 1000\n"
+        )
+        code = main(["balance", "--input", feeder_file, "--controller", str(ctrl_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"controller file {ctrl_path}: " in captured.err
+        assert "term n1 holds no sample" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_custom_controller_file(self, feeder_file, tmp_path, capsys):
         ctrl_path = tmp_path / "ctrl.txt"

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from phasebal.fuzzy import (
@@ -94,6 +92,19 @@ class TestDefaultController:
                 controller.input, controller.output, (("nope", "nothing"),)
             )
 
+    def test_parsed_once(self):
+        assert default_controller() is default_controller()
+
+
+def output_terms_controller(*terms):
+    """One-rule controller whose output grid is the whole numbers 0..999."""
+    return FuzzyController(
+        LinguisticVariable("x", (0.0, 1.0), (TriangularMF("a", 0.0, 0.0, 1.0),)),
+        LinguisticVariable("y", (0.0, 999.0), (TriangularMF("wide", 0.0, 0.0, 999.0), *terms)),
+        (("a", "wide"),),
+        integration_resolution=1000,
+    )
+
 
 class TestInferChange:
     # Plateau values where exactly one rule fires at full strength: the
@@ -168,28 +179,52 @@ class TestAsymmetricConsequent:
 
 
 class TestSampledCentroid:
-    def test_consequents_between_samples_give_nan(self):
-        # Both fired consequents fall between two grid points, so the
-        # sampled aggregate is 0 everywhere and its centroid is 0/0.
-        ctrl = FuzzyController(
-            LinguisticVariable(
-                "x",
-                (0.0, 100.0),
-                (TriangularMF("a", 0.0, 0.0, 100.0), TriangularMF("b", 0.0, 100.0, 100.0)),
-            ),
-            LinguisticVariable(
-                "y",
-                (-150.0, 150.0),
-                (
-                    TriangularMF("wide", -150.0, -150.0, 150.0),
-                    TriangularMF("n1", 10.01, 10.02, 10.03),
-                    TriangularMF("n2", 20.01, 20.02, 20.03),
+    def test_consequents_between_samples_are_refused(self):
+        # Both consequents fall between two grid points; fired together they
+        # would leave a sampled aggregate of 0 everywhere, a centroid of 0/0.
+        with pytest.raises(ValueError, match="term n1 holds no sample"):
+            FuzzyController(
+                LinguisticVariable(
+                    "x",
+                    (0.0, 100.0),
+                    (TriangularMF("a", 0.0, 0.0, 100.0), TriangularMF("b", 0.0, 100.0, 100.0)),
                 ),
-            ),
-            (("a", "n1"), ("b", "n2")),
-            integration_resolution=1000,
-        )
-        assert math.isnan(infer_change(ctrl, 50.0))
+                LinguisticVariable(
+                    "y",
+                    (-150.0, 150.0),
+                    (
+                        TriangularMF("wide", -150.0, -150.0, 150.0),
+                        TriangularMF("n1", 10.01, 10.02, 10.03),
+                        TriangularMF("n2", 20.01, 20.02, 20.03),
+                    ),
+                ),
+                (("a", "n1"), ("b", "n2")),
+                integration_resolution=1000,
+            )
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            TriangularMF("inside", 4.9, 5.0, 5.1),  # one sample, strictly inside
+            TriangularMF("left", 5.0, 5.0, 5.5),  # shoulder edge on a sample
+            TriangularMF("right", 4.5, 5.0, 5.0),
+            TriangularMF("top", 998.5, 999.0, 999.0),  # the last sample
+        ],
+    )
+    def test_term_holding_one_sample_is_accepted(self, term):
+        output_terms_controller(term)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            TriangularMF("between", 5.2, 5.4, 5.6),
+            TriangularMF("edges", 5.0, 5.5, 6.0),  # membership 0 on both samples
+            TriangularMF("unused", 998.5, 998.7, 998.9),  # refused even if no rule uses it
+        ],
+    )
+    def test_term_holding_no_sample_is_refused(self, term):
+        with pytest.raises(ValueError, match=f"term {term.label} holds no sample"):
+            output_terms_controller(term)
 
 
     def test_clip_point_rounded_onto_the_support_edge(self):

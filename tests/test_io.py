@@ -4,16 +4,18 @@ import json
 import pytest
 
 from phasebal.balancing import balance
-from phasebal.fuzzy import default_controller, infer_change
-from phasebal.io import (
+from phasebal.fuzzy import (
     ControllerFormatError,
+    default_controller,
+    infer_change,
+    parse_controller,
+    write_controller,
+)
+from phasebal.io import (
     FeederFormatError,
     load_reference_feeder,
-    parse_controller,
     parse_feeder_csv,
-    reference_controller_text,
     reference_feeder_text,
-    write_controller,
     write_feeder_csv,
     write_moves_csv,
     write_report,
@@ -90,9 +92,6 @@ class TestFeederRoundTrip:
 
 
 class TestControllerFormat:
-    def test_packaged_controller_matches_builtin(self):
-        assert parse_controller(reference_controller_text()) == default_controller()
-
     def test_round_trip(self):
         out = io.StringIO()
         write_controller(default_controller(), out)

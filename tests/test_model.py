@@ -3,13 +3,11 @@ import math
 import pytest
 
 from phasebal.model import (
-    Branch,
     FeederSnapshot,
     avg_unbalance,
     phase_totals,
     round_half_away,
     system_total,
-    total_power_loss,
 )
 
 
@@ -74,22 +72,6 @@ class TestMetrics:
         a = avg_unbalance((5.0, 9.0, 30.0))
         b = avg_unbalance((30.0, 5.0, 9.0))
         assert a == b
-
-    def test_power_loss_single_branch(self):
-        # r * (P^2 + Q^2) / V^2 per branch
-        loss = total_power_loss([Branch(r=0.5, p=3.0, q=4.0, v_mag=10.0)])
-        assert loss == pytest.approx(0.5 * 25 / 100)
-
-    def test_power_loss_sums_branches(self):
-        branches = [
-            Branch(r=1.0, p=1.0, q=0.0, v_mag=1.0),
-            Branch(r=2.0, p=0.0, q=1.0, v_mag=1.0),
-        ]
-        assert total_power_loss(branches) == pytest.approx(3.0)
-
-    def test_power_loss_rejects_zero_voltage(self):
-        with pytest.raises(ValueError):
-            Branch(r=1.0, p=1.0, q=0.0, v_mag=0.0)
 
     def test_unbalance_uses_mean_of_pairwise_gaps(self):
         t = (200.0, 150.0, 100.0)

@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 
@@ -12,7 +13,9 @@ from phasebal.fuzzy import (
     default_controller,
     infer_change,
     membership_at,
+    parse_controller,
     suggest_changes,
+    write_controller,
 )
 from phasebal.model import FeederSnapshot, avg_unbalance, round_half_away, system_total
 from phasebal.planner import points_to_move, select_subset
@@ -230,6 +233,16 @@ class TestSampledCentroid:
             assert abs(fast - slow) <= 1e-9, load
             assert round_half_away(fast) == round_half_away(slow), load
         assert multi_rule > 2000
+
+
+class TestControllerFormatProperties:
+    @given(multi_rule_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_write_then_parse_round_trips(self, case):
+        controller, _ = case
+        out = io.StringIO()
+        write_controller(controller, out)
+        assert parse_controller(out.getvalue()) == controller
 
 
 class TestCorrectionProperties:
