@@ -10,10 +10,10 @@ or a phase total leaves the controller's input range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fuzzy import FuzzyController, default_controller, suggest_changes
-from .model import FeederSnapshot, avg_unbalance, phase_totals, round_half_away
+from .model import FeederSnapshot, Frozen, avg_unbalance, phase_totals, round_half_away
 from .planner import (
     BalancePlan,
     ChangeSuggestion,
@@ -43,31 +43,40 @@ ITERATION_CAP = "iteration-cap"
 OVER_CAPACITY = "over-capacity"
 
 
-@dataclass(frozen=True)
-class BalancerConfig:
+class BalancerConfig(Frozen):
     """Knobs for the balancing loop.
 
     unbalance_threshold is in kW and compared strictly (< threshold
-    stops). integer_scale sharpens the subset solver's kW lattice for
-    fractional load data; 1 keeps whole-kW resolution.
+    stops). controller=None means default_controller(). integer_scale
+    sharpens the subset solver's kW lattice for fractional load data; 1
+    keeps whole-kW resolution.
     """
 
-    unbalance_threshold: float = 10.0
-    max_iterations: int = 10
-    controller: FuzzyController = field(default_factory=default_controller)
-    integer_scale: int = 1
+    __slots__ = ("unbalance_threshold", "max_iterations", "controller", "integer_scale")
+    unbalance_threshold: float
+    max_iterations: int
+    controller: FuzzyController
+    integer_scale: int
 
-    def __post_init__(self) -> None:
-        if not self.unbalance_threshold > 0:
-            raise ValueError(f"threshold must be > 0, got {self.unbalance_threshold!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not (isinstance(self.integer_scale, int) and self.integer_scale >= 1):
-            raise ValueError(f"integer_scale must be a positive integer, got {self.integer_scale!r}")
+    def __init__(
+        self,
+        unbalance_threshold: float = 10.0,
+        max_iterations: int = 10,
+        controller: FuzzyController | None = None,
+        integer_scale: int = 1,
+    ) -> None:
+        if not unbalance_threshold > 0:
+            raise ValueError(f"threshold must be > 0, got {unbalance_threshold!r}")
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {max_iterations!r}")
+        if not (isinstance(integer_scale, int) and integer_scale >= 1):
+            raise ValueError(f"integer_scale must be a positive integer, got {integer_scale!r}")
+        if controller is None:
+            controller = default_controller()
+        self._assign(unbalance_threshold, max_iterations, controller, integer_scale)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Everything one pass of the loop did, for reporting."""
 
     totals_before: tuple[float, float, float]
@@ -81,8 +90,7 @@ class IterationRecord:
     unbalance_after: float
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Outcome of a balance run: status plus the full iteration trail."""
 
     initial_totals: tuple[float, float, float]

@@ -173,8 +173,11 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         lines.append(f"{load:g},{change:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write surface: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0

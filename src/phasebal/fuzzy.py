@@ -21,13 +21,12 @@ numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from itertools import combinations
 from typing import TextIO
 
-from .model import PhaseTotals, round_half_away
+from .model import Frozen, PhaseTotals, format_number, round_half_away
 
 __all__ = [
     "TriangularMF",
@@ -60,8 +59,7 @@ class UniverseError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class TriangularMF:
+class TriangularMF(Frozen):
     """Triangular membership function with vertices left <= apex <= right.
 
     Membership is 0 outside (left, right), rises linearly to 1 at the
@@ -70,21 +68,23 @@ class TriangularMF:
     left == right is not a valid shape.
     """
 
+    __slots__ = ("label", "left", "apex", "right")
     label: str
     left: float
     apex: float
     right: float
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, left: float, apex: float, right: float) -> None:
+        if not label:
             raise ValueError("membership function needs a non-empty label")
-        if not (self.left <= self.apex <= self.right):
+        if not (left <= apex <= right):
             raise ValueError(
-                f"term {self.label}: vertices must satisfy left <= apex <= right, "
-                f"got ({self.left}, {self.apex}, {self.right})"
+                f"term {label}: vertices must satisfy left <= apex <= right, "
+                f"got ({left}, {apex}, {right})"
             )
-        if self.left == self.right:
-            raise ValueError(f"term {self.label}: zero-width triangle")
+        if left == right:
+            raise ValueError(f"term {label}: zero-width triangle")
+        self._assign(label, left, apex, right)
 
     @property
     def is_symmetric(self) -> bool:
@@ -105,8 +105,7 @@ def membership_at(mf: TriangularMF, x: float) -> float:
     return (right - x) / (right - apex)
 
 
-@dataclass(frozen=True)
-class LinguisticVariable:
+class LinguisticVariable(Frozen):
     """A named quantity partitioned into overlapping triangular terms.
 
     Terms must lie within the universe and chain across it (each term
@@ -114,36 +113,40 @@ class LinguisticVariable:
     the universe has no interior gap with zero coverage.
     """
 
+    __slots__ = ("name", "universe", "terms")
     name: str
     universe: tuple[float, float]
     terms: tuple[TriangularMF, ...]
 
-    def __post_init__(self) -> None:
-        lo, hi = self.universe
+    def __init__(
+        self, name: str, universe: tuple[float, float], terms: tuple[TriangularMF, ...]
+    ) -> None:
+        lo, hi = universe
         if not (lo < hi):
-            raise ValueError(f"variable {self.name}: empty universe [{lo}, {hi}]")
-        if not self.terms:
-            raise ValueError(f"variable {self.name}: needs at least one term")
-        labels = [t.label for t in self.terms]
+            raise ValueError(f"variable {name}: empty universe [{lo}, {hi}]")
+        if not terms:
+            raise ValueError(f"variable {name}: needs at least one term")
+        labels = [t.label for t in terms]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"variable {self.name}: duplicate term labels")
-        for t in self.terms:
+            raise ValueError(f"variable {name}: duplicate term labels")
+        for t in terms:
             if t.left < lo or t.right > hi:
                 raise ValueError(
-                    f"variable {self.name}: term {t.label} [{t.left}, {t.right}] "
+                    f"variable {name}: term {t.label} [{t.left}, {t.right}] "
                     f"exceeds universe [{lo}, {hi}]"
                 )
         covered = lo
-        for t in sorted(self.terms, key=lambda t: (t.left, t.right)):
+        for t in sorted(terms, key=lambda t: (t.left, t.right)):
             if t.left > covered:
                 raise ValueError(
-                    f"variable {self.name}: coverage gap between {covered} and {t.left}"
+                    f"variable {name}: coverage gap between {covered} and {t.left}"
                 )
             covered = max(covered, t.right)
         if covered < hi:
             raise ValueError(
-                f"variable {self.name}: coverage gap between {covered} and {hi}"
+                f"variable {name}: coverage gap between {covered} and {hi}"
             )
+        self._assign(name, universe, terms)
 
     def term(self, label: str) -> TriangularMF:
         for t in self.terms:
@@ -152,8 +155,7 @@ class LinguisticVariable:
         raise KeyError(f"variable {self.name} has no term {label!r}")
 
 
-@dataclass(frozen=True)
-class FuzzyController:
+class FuzzyController(Frozen):
     """Immutable Mamdani controller: input/output variables plus rules.
 
     integration_resolution is the number of uniform samples taken over
@@ -164,25 +166,33 @@ class FuzzyController:
     aggregate never sums to 0.
     """
 
+    # _rule_terms: each rule's (antecedent, consequent) terms, resolved
+    # from its labels once, here, instead of on every inference.
+    __slots__ = ("input", "output", "rules", "integration_resolution", "_rule_terms")
     input: LinguisticVariable
     output: LinguisticVariable
     rules: tuple[Rule, ...]
-    integration_resolution: int = DEFAULT_RESOLUTION
+    integration_resolution: int
+    _rule_terms: tuple[tuple[TriangularMF, TriangularMF], ...]
 
-    def __post_init__(self) -> None:
-        if not self.rules:
+    def __init__(
+        self,
+        input: LinguisticVariable,
+        output: LinguisticVariable,
+        rules: tuple[Rule, ...],
+        integration_resolution: int = DEFAULT_RESOLUTION,
+    ) -> None:
+        if not rules:
             raise ValueError("controller needs at least one rule")
-        for ant, cons in self.rules:
-            self.input.term(ant)
-            self.output.term(cons)
-        if self.integration_resolution < 1000:
+        rule_terms = tuple((input.term(ant), output.term(cons)) for ant, cons in rules)
+        if integration_resolution < 1000:
             raise ValueError(
-                f"integration resolution must be >= 1000, got {self.integration_resolution}"
+                f"integration resolution must be >= 1000, got {integration_resolution}"
             )
-        lo, hi = self.output.universe
-        last = self.integration_resolution - 1
+        lo, hi = output.universe
+        last = integration_resolution - 1
         step = (hi - lo) / last
-        for mf in self.output.terms:
+        for mf in output.terms:
             # Membership is above 0 only inside (left, right) or on a
             # shoulder's edge, so the two samples around left decide.
             j = _first_above(mf.left, lo, step)
@@ -192,9 +202,10 @@ class FuzzyController:
                 if 0 <= i <= last
             ):
                 raise ValueError(
-                    f"variable {self.output.name}: term {mf.label} holds no sample of "
-                    f"the {self.integration_resolution}-point grid over [{lo}, {hi}]"
+                    f"variable {output.name}: term {mf.label} holds no sample of "
+                    f"the {integration_resolution}-point grid over [{lo}, {hi}]"
                 )
+        self._assign(input, output, rules, integration_resolution, rule_terms)
 
 
 def _first_above(c: float, lo: float, step: float) -> int:
@@ -338,28 +349,24 @@ def infer_change(ctrl: FuzzyController, load: float) -> float:
             f"the controller must not be used beyond its design range"
         )
 
-    # Max firing strength per consequent term (a term may serve several rules).
-    clipped: dict[str, float] = {}
-    for ant, cons in ctrl.rules:
-        w = membership_at(ctrl.input.term(ant), load)
-        if w > 0.0:
-            clipped[cons] = max(clipped.get(cons, 0.0), w)
+    # Max firing strength per consequent label (a term may serve several
+    # rules), in the order the consequents first fire.
+    clipped: dict[str, tuple[TriangularMF, float]] = {}
+    for ant, cons in ctrl._rule_terms:
+        w = membership_at(ant, load)
+        if w > 0.0 and w > clipped.get(cons.label, (cons, 0.0))[1]:
+            clipped[cons.label] = (cons, w)
 
     if not clipped:
-        nearest = min(
-            ctrl.rules,
-            key=lambda rule: abs(ctrl.input.term(rule[0]).apex - load),
-        )
-        return ctrl.output.term(nearest[1]).apex
+        _, nearest = min(ctrl._rule_terms, key=lambda pair: abs(pair[0].apex - load))
+        return nearest.apex
 
     if len(clipped) == 1:
-        (cons, w), = clipped.items()
-        return _clipped_centroid(ctrl.output.term(cons), w)
+        (mf, w), = clipped.values()
+        return _clipped_centroid(mf, w)
 
     return _sampled_centroid(
-        [(ctrl.output.term(cons), w) for cons, w in clipped.items()],
-        ctrl.output.universe,
-        ctrl.integration_resolution,
+        list(clipped.values()), ctrl.output.universe, ctrl.integration_resolution
     )
 
 
@@ -500,19 +507,15 @@ def parse_controller(text: str) -> FuzzyController:
         raise ControllerFormatError(str(exc)) from None
 
 
-def _format_breakpoint(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
 def write_controller(controller: FuzzyController, out: TextIO) -> None:
     """Write a controller in the format parse_controller reads."""
     for var, kind in ((controller.input, "input"), (controller.output, "output")):
         lo, hi = var.universe
-        out.write(f"{kind} {var.name} {_format_breakpoint(lo)} {_format_breakpoint(hi)}\n")
+        out.write(f"{kind} {var.name} {format_number(lo)} {format_number(hi)}\n")
         for mf in var.terms:
             out.write(
-                f"term {mf.label} {_format_breakpoint(mf.left)} "
-                f"{_format_breakpoint(mf.apex)} {_format_breakpoint(mf.right)}\n"
+                f"term {mf.label} {format_number(mf.left)} "
+                f"{format_number(mf.apex)} {format_number(mf.right)}\n"
             )
         out.write("\n")
     for antecedent, consequent in controller.rules:

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import TextIO
 
 from .balancing import INFEASIBLE, BalanceReport
-from .model import FeederSnapshot
+from .model import FeederSnapshot, format_number
 
 __all__ = [
     "FeederFormatError",
@@ -87,17 +87,13 @@ def parse_feeder_csv(text: str) -> FeederSnapshot:
     return FeederSnapshot.from_lists(phases)
 
 
-def _format_power(value: float) -> str:
-    return str(int(value)) if value.is_integer() else repr(value)
-
-
 def write_feeder_csv(snapshot: FeederSnapshot, out: TextIO) -> None:
     """Write a snapshot as feeder CSV, padding shorter phases with blanks."""
     out.write(",".join(_HEADER) + "\n")
     depth = max(len(p) for p in snapshot.phases)
     for row in range(depth):
         cells = [
-            _format_power(points[row]) if row < len(points) else ""
+            format_number(points[row]) if row < len(points) else ""
             for points in snapshot.phases
         ]
         out.write(",".join(cells) + "\n")
@@ -160,7 +156,7 @@ def write_moves_csv(report: BalanceReport, out: TextIO) -> None:
         for mv in rec.plan.moves:
             out.write(
                 f"{it},{mv.source_phase + 1},{mv.point_index + 1},"
-                f"{mv.dest_phase + 1},{_format_power(mv.power)}\n"
+                f"{mv.dest_phase + 1},{format_number(mv.power)}\n"
             )
 
 

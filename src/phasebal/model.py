@@ -9,7 +9,6 @@ points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -41,25 +40,81 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-@dataclass(frozen=True)
-class FeederSnapshot:
+def format_number(value: float) -> str:
+    """Shortest text that reads back as the same float: whole values
+    without a decimal point, others as repr. The feeder, moves and
+    controller writers all use it."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+class Frozen:
+    """Immutable value type over the names in a subclass's __slots__.
+
+    The public slots, those not starting with an underscore, are the
+    fields: they define equality, hashing, repr and pickling, and the
+    subclass's __init__ takes them positionally in slot order. Private
+    slots hold values derived from the fields. __init__ fills every slot
+    once through _assign; any later assignment or deletion raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def _assign(self, *values: object) -> None:
+        """Set every slot, in __slots__ order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+    # copy and pickle would otherwise restore the slots by setattr.
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class FeederSnapshot(Frozen):
     """Immutable state of the feeder: three tuples of load-point powers (kW).
 
     Every load point is a finite, non-negative kW value. Point counts per
     phase may differ (and will, after moves are applied).
     """
 
+    __slots__ = ("phases",)
     phases: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.phases) != NUM_PHASES:
+    def __init__(self, phases: Sequence[Sequence[float]]) -> None:
+        if len(phases) != NUM_PHASES:
             raise ValueError(
-                f"feeder must have exactly {NUM_PHASES} phases, got {len(self.phases)}"
+                f"feeder must have exactly {NUM_PHASES} phases, got {len(phases)}"
             )
-        object.__setattr__(
-            self, "phases", tuple(tuple(float(p) for p in ph) for ph in self.phases)
-        )
-        for i, ph in enumerate(self.phases):
+        phases = tuple(tuple(float(p) for p in ph) for ph in phases)
+        self._assign(phases)
+        for i, ph in enumerate(phases):
             for j, p in enumerate(ph):
                 if not math.isfinite(p):
                     raise ValueError(f"phase {i + 1} point {j} is not finite: {p!r}")

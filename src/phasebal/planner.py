@@ -14,10 +14,9 @@ subset exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .model import NUM_PHASES, FeederSnapshot, round_half_away
+from .model import NUM_PHASES, FeederSnapshot, Frozen, round_half_away
 
 __all__ = [
     "ChangeSuggestion",
@@ -33,8 +32,7 @@ __all__ = [
     "distribute",
 ]
 
-@dataclass(frozen=True)
-class ChangeSuggestion:
+class ChangeSuggestion(Frozen):
     """Signed per-phase change vector (integer kW).
 
     corrected=True marks a vector that went through zero-sum error
@@ -42,20 +40,22 @@ class ChangeSuggestion:
     can never have three components of the same strict sign.
     """
 
+    __slots__ = ("delta", "corrected")
     delta: tuple[int, int, int]
-    corrected: bool = False
+    corrected: bool
 
-    def __post_init__(self) -> None:
-        if len(self.delta) != NUM_PHASES:
-            raise ValueError(f"expected {NUM_PHASES} components, got {len(self.delta)}")
-        object.__setattr__(self, "delta", tuple(int(d) for d in self.delta))
-        if self.corrected:
-            if sum(self.delta) != 0:
-                raise ValueError(f"corrected suggestion must sum to 0, got {self.delta}")
-            negs = sum(1 for d in self.delta if d < 0)
-            poss = sum(1 for d in self.delta if d > 0)
+    def __init__(self, delta: Sequence[int], corrected: bool = False) -> None:
+        if len(delta) != NUM_PHASES:
+            raise ValueError(f"expected {NUM_PHASES} components, got {len(delta)}")
+        delta = tuple(int(d) for d in delta)
+        self._assign(delta, corrected)
+        if corrected:
+            if sum(delta) != 0:
+                raise ValueError(f"corrected suggestion must sum to 0, got {delta}")
+            negs = sum(1 for d in delta if d < 0)
+            poss = sum(1 for d in delta if d > 0)
             if negs > 2 or poss > 2:
-                raise ValueError(f"corrected suggestion has 3 components of one sign: {self.delta}")
+                raise ValueError(f"corrected suggestion has 3 components of one sign: {delta}")
 
     @property
     def releasing(self) -> tuple[int, ...]:
@@ -68,8 +68,7 @@ class ChangeSuggestion:
         return tuple(i for i, d in enumerate(self.delta) if d > 0)
 
 
-@dataclass(frozen=True)
-class ChangeEntry:
+class ChangeEntry(NamedTuple):
     """One load point slated to leave its phase.
 
     source_phase and point_index are 0-based positions into the snapshot
@@ -81,8 +80,7 @@ class ChangeEntry:
     power: float
 
 
-@dataclass(frozen=True)
-class ChangeVector:
+class ChangeVector(Frozen):
     """Pooled points released by the determine step, in selection order.
 
     deviation is the combined absolute gap (kW) between each releasing
@@ -90,12 +88,14 @@ class ChangeVector:
     subsets exist.
     """
 
+    __slots__ = ("entries", "deviation")
     entries: tuple[ChangeEntry, ...]
-    deviation: float = 0.0
+    deviation: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[ChangeEntry, ...], deviation: float = 0.0) -> None:
+        self._assign(entries, deviation)
         seen = set()
-        for e in self.entries:
+        for e in entries:
             key = (e.source_phase, e.point_index)
             if key in seen:
                 raise ValueError(f"duplicate change entry for phase {e.source_phase + 1} point {e.point_index}")
@@ -107,8 +107,7 @@ class ChangeVector:
         return math.fsum(e.power for e in self.entries)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """Reassignment of one load point (0-based indices, phases included)."""
 
     source_phase: int
@@ -117,14 +116,15 @@ class Move:
     power: float
 
 
-@dataclass(frozen=True)
-class BalancePlan:
+class BalancePlan(Frozen):
     """Concrete set of moves; per-phase released/received tallies derive from it."""
 
+    __slots__ = ("moves",)
     moves: tuple[Move, ...]
 
-    def __post_init__(self) -> None:
-        for m in self.moves:
+    def __init__(self, moves: tuple[Move, ...]) -> None:
+        self._assign(moves)
+        for m in moves:
             if m.source_phase == m.dest_phase:
                 raise ValueError(f"move of point {m.point_index} stays on phase {m.source_phase + 1}")
             if not (0 <= m.source_phase < NUM_PHASES and 0 <= m.dest_phase < NUM_PHASES):

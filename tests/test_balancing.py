@@ -13,7 +13,7 @@ from phasebal.balancing import (
     balance,
     error_correct,
 )
-from phasebal.fuzzy import parse_controller
+from phasebal.fuzzy import default_controller, parse_controller
 from phasebal.model import FeederSnapshot, avg_unbalance, phase_totals, system_total
 from phasebal.planner import BalancePlan, Move
 
@@ -86,6 +86,11 @@ class TestBalancerConfig:
         cfg = BalancerConfig()
         assert cfg.unbalance_threshold == 10.0
         assert cfg.max_iterations == 10
+        assert cfg.controller is default_controller()
+
+    def test_none_controller_means_default(self):
+        assert BalancerConfig(controller=None) == BalancerConfig()
+        assert BalancerConfig(controller=None).controller is default_controller()
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,14 @@ class TestSurfaceCommand:
         code = main(["surface", "--step", "0"])
         assert code == 1
 
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        code = main(["surface", "--out", str(tmp_path / "missing" / "s.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "phasebal: error: cannot write surface" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestUsageErrors:
     def test_missing_required_argument(self, capsys):
@@ -232,6 +240,13 @@ class TestColdStart:
         proc = self._run(["-c", 'import phasebal.cli, sys; print("numpy" in sys.modules)'])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_does_not_load_dataclasses(self):
+        proc = self._run(
+            ["-c", 'import phasebal.cli, sys; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))']
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_balance_process_on_reference_feeder(self, feeder_file):
         proc = self._run(["-m", "phasebal", "balance", "--input", feeder_file])

@@ -1,7 +1,17 @@
+import copy
 import math
+import pickle
 
 import pytest
 
+from phasebal.balancing import BalancerConfig, balance
+from phasebal.fuzzy import (
+    LinguisticVariable,
+    TriangularMF,
+    parse_controller,
+    reference_controller_text,
+)
+from phasebal.io import load_reference_feeder
 from phasebal.model import (
     FeederSnapshot,
     avg_unbalance,
@@ -9,6 +19,7 @@ from phasebal.model import (
     round_half_away,
     system_total,
 )
+from phasebal.planner import BalancePlan, ChangeEntry, ChangeSuggestion, ChangeVector, Move
 
 
 class TestRounding:
@@ -82,3 +93,90 @@ class TestMetrics:
         snap = FeederSnapshot.from_lists([[7] * 13, [11] * 5, [3] * 9])
         assert system_total(snap) == 7 * 13 + 11 * 5 + 3 * 9
         assert math.fsum(phase_totals(snap)) == system_total(snap)
+
+
+def _other_feeder_report():
+    return balance(FeederSnapshot.from_lists([[100, 60, 40], [30], [20]]))
+
+
+# Per public value type: a factory, a factory for an unequal value, and a field.
+VALUE_TYPES = {
+    "TriangularMF": (
+        lambda: TriangularMF("a", 0.0, 1.0, 2.0),
+        lambda: TriangularMF("a", 0.0, 1.5, 2.0),
+        "apex",
+    ),
+    "LinguisticVariable": (
+        lambda: LinguisticVariable("x", (0.0, 2.0), (TriangularMF("a", 0.0, 1.0, 2.0),)),
+        lambda: LinguisticVariable("y", (0.0, 2.0), (TriangularMF("a", 0.0, 1.0, 2.0),)),
+        "terms",
+    ),
+    "FuzzyController": (
+        lambda: parse_controller(reference_controller_text()),
+        lambda: parse_controller(reference_controller_text() + "resolution 2001\n"),
+        "rules",
+    ),
+    "FeederSnapshot": (
+        lambda: FeederSnapshot.from_lists([[1, 2], [3], []]),
+        lambda: FeederSnapshot.from_lists([[1, 2], [3], [4]]),
+        "phases",
+    ),
+    "ChangeSuggestion": (
+        lambda: ChangeSuggestion((-3, 1, 2), corrected=True),
+        lambda: ChangeSuggestion((-3, 2, 1), corrected=True),
+        "delta",
+    ),
+    "ChangeEntry": (lambda: ChangeEntry(0, 1, 2.5), lambda: ChangeEntry(0, 2, 2.5), "power"),
+    "ChangeVector": (
+        lambda: ChangeVector((ChangeEntry(0, 1, 2.5),), 0.5),
+        lambda: ChangeVector((ChangeEntry(0, 1, 2.5),), 0.0),
+        "deviation",
+    ),
+    "Move": (lambda: Move(0, 1, 2, 2.5), lambda: Move(0, 1, 1, 2.5), "dest_phase"),
+    "BalancePlan": (
+        lambda: BalancePlan((Move(0, 1, 2, 2.5),)),
+        lambda: BalancePlan((Move(0, 1, 1, 2.5),)),
+        "moves",
+    ),
+    "IterationRecord": (
+        lambda: balance(load_reference_feeder()).iterations[0],
+        lambda: _other_feeder_report().iterations[0],
+        "plan",
+    ),
+    "BalanceReport": (
+        lambda: balance(load_reference_feeder()),
+        lambda: balance(load_reference_feeder(), BalancerConfig(unbalance_threshold=200.0)),
+        "status",
+    ),
+    "BalancerConfig": (
+        lambda: BalancerConfig(integer_scale=10),
+        lambda: BalancerConfig(integer_scale=100),
+        "controller",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+class TestValueTypes:
+    """Every public value type compares and hashes by value, is immutable,
+    and survives deepcopy and pickle."""
+
+    def test_equality_and_hash(self, name):
+        make, other, _ = VALUE_TYPES[name]
+        a, b = make(), make()
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != other()
+
+    def test_fields_cannot_be_assigned(self, name):
+        make, _, field = VALUE_TYPES[name]
+        value = make()
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+    def test_deepcopy_and_pickle_round_trip(self, name):
+        make, _, _ = VALUE_TYPES[name]
+        value = make()
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value

@@ -17,6 +17,7 @@ from phasebal.fuzzy import (
     suggest_changes,
     write_controller,
 )
+from phasebal.io import parse_feeder_csv, write_feeder_csv
 from phasebal.model import FeederSnapshot, avg_unbalance, round_half_away, system_total
 from phasebal.planner import points_to_move, select_subset
 
@@ -243,6 +244,25 @@ class TestControllerFormatProperties:
         out = io.StringIO()
         write_controller(controller, out)
         assert parse_controller(out.getvalue()) == controller
+
+
+class TestFeederFormatProperties:
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+                | st.integers(0, 500),
+                max_size=6,
+            ),
+            min_size=3,
+            max_size=3,
+        ).filter(any)
+    )
+    def test_write_then_parse_round_trips(self, phases):
+        snap = FeederSnapshot.from_lists(phases)
+        out = io.StringIO()
+        write_feeder_csv(snap, out)
+        assert parse_feeder_csv(out.getvalue()) == snap
 
 
 class TestCorrectionProperties:
