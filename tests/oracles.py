@@ -4,12 +4,14 @@ These deliberately share no code with the package: the subset oracle
 enumerates combinations outright, the fine-grid centroid oracle
 integrates the aggregated output set numerically on a fine grid with
 membership computed by interpolation, and the sampled-grid oracle sums
-the aggregate sample by sample on the controller's own grid. Slow and
-simple on purpose.
+the aggregate sample by sample on the controller's own grid, and the
+pipeline oracle writes the balancing loop out pass by pass, with the
+subset oracle picking the points. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Sequence
 
@@ -115,3 +117,135 @@ def sampled_grid_centroid(controller, load: float) -> float:
     for cons, w in clipped.items():
         np.maximum(agg, np.minimum(w, _membership_grid(controller.output.term(cons), xs)), out=agg)
     return float(np.dot(xs, agg) / agg.sum())
+
+
+def _round_half_away(x: float) -> int:
+    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+
+
+def _unbalance(totals: Sequence[float]) -> float:
+    t1, t2, t3 = totals
+    return math.fsum((abs(t1 - t2), abs(t2 - t3), abs(t3 - t1))) / 3.0
+
+
+def _infeasibility(phases, delta) -> str | None:
+    """The paper's min-point rule, with the library's wording of each reason."""
+    if all(d == 0 for d in delta):
+        return "no-op suggestion: all phase changes are zero"
+    if not any(d < 0 for d in delta):
+        return "suggestion only receives load; no phase releases"
+    if not any(d > 0 for d in delta):
+        return "suggestion only releases load; no phase receives"
+    for i, d in enumerate(delta):
+        if d == 0:
+            continue
+        if d < 0 and not any(phases[i]):
+            return f"phase {i + 1}: no load to release (no point above 0 kW)"
+        if phases[i] and not abs(d) > min(phases[i]):
+            return (
+                f"phase {i + 1}: change magnitude {abs(d)} kW does not exceed "
+                f"the minimum load point {min(phases[i]):g} kW"
+            )
+    return None
+
+
+def _size_and_pick(points: Sequence[float], change: float, scale: int) -> tuple[int, ...]:
+    """How many points a change of `change` kW moves (change over the mean
+    point, rounded, kept within 1..len), then which ones, by enumeration on
+    the 1/scale kW lattice."""
+    n = max(1, min(len(points), _round_half_away(change / (sum(points) / len(points)))))
+    weights = [_round_half_away(p * scale) for p in points]
+    return brute_force_subset(weights, n, _round_half_away(change * scale))[0]
+
+
+def reference_balance(
+    phases: Sequence[Sequence[float]],
+    controller,
+    threshold: float = 10.0,
+    max_iterations: int = 10,
+    scale: int = 1,
+) -> dict:
+    """The balancing loop written out from the paper, as a report document.
+
+    Each pass: stop when the unbalance is under the threshold, at the
+    iteration cap, or when a phase total leaves the controller's input
+    range; otherwise fuzzify each total (infer_change, the one library
+    call), round half away from zero, remove the rounded mean error from
+    the first two phases and the remainder from the third, apply the
+    min-point rule, pick each releasing phase's points by enumeration,
+    give the first of two receivers the pooled points picked against its
+    own change and the other receiver the rest, and move them. Returns
+    what json.loads(write_report(...)) gives for the same run. Needs at
+    most 22 points per selection.
+    """
+    from phasebal.fuzzy import infer_change
+
+    phases = [[float(p) for p in ph] for ph in phases]
+
+    def totals() -> list[float]:
+        return [math.fsum(ph) for ph in phases]
+
+    initial = totals()
+    doc: dict = {"status": None}
+    iterations: list[dict] = []
+    lo, hi = controller.input.universe
+    while True:
+        before = totals()
+        if _unbalance(before) < threshold:
+            doc["status"] = "balanced" if iterations else "already-balanced"
+            break
+        if len(iterations) >= max_iterations:
+            doc["status"] = "iteration-cap"
+            break
+        if any(not lo <= t <= hi for t in before):
+            doc["status"] = "over-capacity"
+            break
+
+        raw = [_round_half_away(infer_change(controller, t)) for t in before]
+        ae = _round_half_away(sum(raw) / 3)
+        error = [ae, ae, sum(raw) - 2 * ae]
+        delta = [r - e for r, e in zip(raw, error)]
+        record: dict = {
+            "totals_before": before,
+            "fuzzy_raw": raw,
+            "avg_error": ae,
+            "error_vector": error,
+            "fuzzy_corrected": delta,
+        }
+        reason = _infeasibility(phases, delta)
+        moves: list[dict] = []
+        if reason is not None:
+            record["infeasibility"] = reason
+        else:
+            pooled = []  # (phase, index, kW) in selection order
+            for i in (i for i in range(3) if delta[i] < 0):
+                picked = _size_and_pick(phases[i], -delta[i], scale)
+                pooled += [(i, j, phases[i][j]) for j in picked if phases[i][j] > 0]
+            receivers = [i for i in range(3) if delta[i] > 0]
+            to_first: tuple[int, ...] = ()
+            if len(receivers) == 2 and pooled:
+                to_first = _size_and_pick([p for _, _, p in pooled], delta[receivers[0]], scale)
+            dest = [receivers[0] if k in to_first else receivers[-1] for k in range(len(pooled))]
+            leaving = {(i, j) for i, j, _ in pooled}
+            new_phases = [
+                [p for j, p in enumerate(ph) if (i, j) not in leaving] for i, ph in enumerate(phases)
+            ]
+            for (i, j, p), d in zip(pooled, dest):
+                new_phases[d].append(p)
+                moves.append({"from": i + 1, "index": j + 1, "to": d + 1, "kw": p})
+            phases = new_phases
+        record["moves"] = moves
+        record["totals_after"] = totals()
+        record["unbalance_after"] = round(_unbalance(record["totals_after"]), 2)
+        iterations.append(record)
+        if reason is not None:
+            doc["status"] = "infeasible"
+            doc["reason"] = reason
+            break
+
+    doc["initial_totals"] = initial
+    doc["initial_unbalance"] = round(_unbalance(initial), 2)
+    doc["iterations"] = iterations
+    doc["final_totals"] = totals()
+    doc["final_unbalance"] = round(_unbalance(doc["final_totals"]), 2)
+    return doc

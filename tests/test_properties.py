@@ -1,11 +1,12 @@
 import io
+import json
 import math
 import sys
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phasebal.balancing import balance, error_correct
+from phasebal.balancing import BalancerConfig, balance, error_correct
 from phasebal.fuzzy import (
     FuzzyController,
     LinguisticVariable,
@@ -17,7 +18,7 @@ from phasebal.fuzzy import (
     suggest_changes,
     write_controller,
 )
-from phasebal.io import parse_feeder_csv, write_feeder_csv
+from phasebal.io import parse_feeder_csv, write_feeder_csv, write_report
 from phasebal.model import FeederSnapshot, avg_unbalance, round_half_away, system_total
 from phasebal.planner import points_to_move, select_subset
 
@@ -25,6 +26,7 @@ from .oracles import (
     brute_force_subset,
     fine_grid_centroid,
     fired_consequents,
+    reference_balance,
     sampled_grid_centroid,
 )
 
@@ -112,6 +114,18 @@ def snapshots(draw):
         draw(st.lists(st.integers(0, 9), min_size=1, max_size=8)) for _ in range(3)
     ]
     return FeederSnapshot.from_lists(phases)
+
+
+@st.composite
+def oracle_feeders(draw, top=30):
+    """Up to 8 points per phase, whole kW or tenths up to `top` kW, and a
+    solver scale; two releasing phases pool at most 16 points, within reach
+    of brute force."""
+    tenths = draw(st.booleans())
+    cell = st.integers(0, top * 10).map(lambda c: c / 10) if tenths else st.integers(0, top)
+    phases = [draw(st.lists(cell, max_size=8)) for _ in range(3)]
+    assume(any(phases))
+    return phases, draw(st.sampled_from([1, 10]))
 
 
 class TestRoundingProperties:
@@ -323,3 +337,25 @@ class TestSuggestionProperties:
         out = suggest_changes(CONTROLLER, totals)
         assert all(lo <= v <= hi for v in out)
         assert all(isinstance(v, int) for v in out)
+
+
+class TestPipelineOracle:
+    """balance() and write_report() against the paper's loop written out in full."""
+
+    @staticmethod
+    def check(phases, scale, controller, threshold=10.0):
+        cfg = BalancerConfig(threshold, 10, controller, scale)
+        got = json.loads(write_report(balance(FeederSnapshot.from_lists(phases), cfg)))
+        assert got == reference_balance(phases, controller, threshold, 10, scale)
+
+    @given(oracle_feeders(), st.sampled_from([10.0, 3.0, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_default_controller(self, feeder, threshold):
+        phases, scale = feeder
+        self.check(phases, scale, CONTROLLER, threshold)
+
+    @given(oracle_feeders(top=12), multi_rule_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_custom_controllers(self, feeder, case):
+        phases, scale = feeder
+        self.check(phases, scale, case[0], threshold=2.0)
