@@ -7,57 +7,12 @@ load points to reassign. The balance() loop iterates until the average
 phase unbalance falls below a threshold.
 """
 
-from .balancing import (
-    ALREADY_BALANCED,
-    BALANCED,
-    INFEASIBLE,
-    ITERATION_CAP,
-    OVER_CAPACITY,
-    BalanceReport,
-    BalancerConfig,
-    IterationRecord,
-    apply_plan,
-    balance,
-    error_correct,
-)
-from .fuzzy import (
-    ControllerFormatError,
-    FuzzyController,
-    LinguisticVariable,
-    TriangularMF,
-    UniverseError,
-    default_controller,
-    infer_change,
-    membership_at,
-    parse_controller,
-    reference_controller_text,
-    response_samples,
-    suggest_changes,
-    write_controller,
-)
-from .io import (
-    FeederFormatError,
-    load_reference_feeder,
-    parse_feeder_csv,
-    reference_feeder_text,
-    write_feeder_csv,
-    write_moves_csv,
-    write_report,
-)
-from .model import (
-    FeederSnapshot,
-    avg_unbalance,
-    phase_totals,
-    round_half_away,
-    system_total,
-)
+from .balancing import BalancerConfig, apply_plan, balance, error_correct
+from .fuzzy import default_controller, infer_change, membership_at, response_samples, suggest_changes
+from .io import load_reference_feeder, write_report
+from .model import FeederSnapshot, avg_unbalance, phase_totals, system_total
 from .planner import (
-    BalancePlan,
-    ChangeEntry,
     ChangeSuggestion,
-    ChangeVector,
-    Move,
-    SubsetSelection,
     determine,
     distribute,
     feasibility_check,
@@ -67,6 +22,8 @@ from .planner import (
 
 __version__ = "0.1.0"
 
+# The names the demos and the README use; everything else is imported
+# from its submodule (phasebal.model, .fuzzy, .planner, .balancing, .io).
 __all__ = [
     "__version__",
     # model
@@ -74,28 +31,14 @@ __all__ = [
     "phase_totals",
     "system_total",
     "avg_unbalance",
-    "round_half_away",
     # fuzzy
-    "TriangularMF",
-    "LinguisticVariable",
-    "FuzzyController",
-    "UniverseError",
-    "ControllerFormatError",
     "membership_at",
     "infer_change",
     "suggest_changes",
     "response_samples",
-    "parse_controller",
-    "write_controller",
-    "reference_controller_text",
     "default_controller",
     # planner
     "ChangeSuggestion",
-    "ChangeEntry",
-    "ChangeVector",
-    "Move",
-    "BalancePlan",
-    "SubsetSelection",
     "feasibility_check",
     "points_to_move",
     "select_subset",
@@ -103,22 +46,10 @@ __all__ = [
     "distribute",
     # balancing
     "BalancerConfig",
-    "IterationRecord",
-    "BalanceReport",
     "error_correct",
     "apply_plan",
     "balance",
-    "BALANCED",
-    "ALREADY_BALANCED",
-    "INFEASIBLE",
-    "ITERATION_CAP",
-    "OVER_CAPACITY",
     # io
-    "FeederFormatError",
-    "parse_feeder_csv",
-    "write_feeder_csv",
     "write_report",
-    "write_moves_csv",
     "load_reference_feeder",
-    "reference_feeder_text",
 ]

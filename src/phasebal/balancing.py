@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fuzzy import FuzzyController, default_controller, suggest_changes
-from .model import FeederSnapshot, Frozen, avg_unbalance, phase_totals, round_half_away
+from .model import NUM_PHASES, FeederSnapshot, Frozen, avg_unbalance, phase_totals, round_half_away
 from .planner import (
     BalancePlan,
     ChangeSuggestion,
@@ -122,29 +122,31 @@ def apply_plan(snapshot: FeederSnapshot, plan: BalancePlan) -> FeederSnapshot:
     Surviving points keep their relative order; arrivals land at the end
     of the destination phase in move order. The system total is preserved
     exactly because the very same float values are reattached.
+
+    This is the one check of a plan: before anything moves, it raises
+    ValueError for a phase outside 0..2, a move that stays on its phase,
+    a point index out of range, a power of 0 kW or less, a power that
+    differs from the snapshot's value, or a point moved twice.
     """
-    removing: dict[int, set[int]] = {}
-    for mv in plan.moves:
-        points = snapshot.phases[mv.source_phase]
-        if not 0 <= mv.point_index < len(points):
-            raise ValueError(
-                f"move references point {mv.point_index} of phase {mv.source_phase + 1}, "
-                f"which has {len(points)} points"
-            )
-        if points[mv.point_index] != mv.power:
-            raise ValueError(
-                f"move expects {mv.power!r} kW at phase {mv.source_phase + 1} "
-                f"point {mv.point_index}, snapshot has {points[mv.point_index]!r}"
-            )
-        taken = removing.setdefault(mv.source_phase, set())
-        if mv.point_index in taken:
-            raise ValueError(
-                f"phase {mv.source_phase + 1} point {mv.point_index} moved twice"
-            )
-        taken.add(mv.point_index)
+    taken: set[tuple[int, int]] = set()
+    for src, j, dst, power in plan.moves:
+        if not (0 <= src < NUM_PHASES and 0 <= dst < NUM_PHASES):
+            raise ValueError(f"move of point {j} from phase {src + 1} to {dst + 1} leaves phases 1..{NUM_PHASES}")
+        if src == dst:
+            raise ValueError(f"move of phase {src + 1} point {j} stays on its phase")
+        points = snapshot.phases[src]
+        if not 0 <= j < len(points):
+            raise ValueError(f"move references phase {src + 1} point {j}, but the phase has {len(points)} points")
+        if not power > 0:
+            raise ValueError(f"move of phase {src + 1} point {j} carries {power!r} kW; it must carry more than 0")
+        if points[j] != power:
+            raise ValueError(f"move expects {power!r} kW at phase {src + 1} point {j}, snapshot has {points[j]!r}")
+        if (src, j) in taken:
+            raise ValueError(f"phase {src + 1} point {j} moved twice")
+        taken.add((src, j))
 
     new_phases: list[list[float]] = [
-        [p for j, p in enumerate(points) if j not in removing.get(i, ())]
+        [p for j, p in enumerate(points) if (i, j) not in taken]
         for i, points in enumerate(snapshot.phases)
     ]
     for mv in plan.moves:
@@ -159,25 +161,23 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
     already under threshold (status balanced, or already-balanced when no
     pass ran); iteration cap reached; any phase total outside the
     controller's input range (over-capacity). Inside a pass the plan step
-    can declare the suggestion infeasible, which also ends the run.
+    can declare the suggestion infeasible, which also ends the run. The
+    totals and the unbalance are computed once per snapshot.
     """
     cfg = config if config is not None else BalancerConfig()
     current = snapshot
-    initial_totals = phase_totals(snapshot)
-    initial_unbalance = avg_unbalance(initial_totals)
+    totals = initial_totals = phase_totals(snapshot)
+    unbalance = initial_unbalance = avg_unbalance(totals)
+    lo, hi = cfg.controller.input.universe
     records: list[IterationRecord] = []
-    status: str | None = None
 
     while True:
-        totals = phase_totals(current)
-        unbalance = avg_unbalance(totals)
         if unbalance < cfg.unbalance_threshold:
             status = BALANCED if records else ALREADY_BALANCED
             break
         if len(records) >= cfg.max_iterations:
             status = ITERATION_CAP
             break
-        lo, hi = cfg.controller.input.universe
         if any(not lo <= t <= hi for t in totals):
             status = OVER_CAPACITY
             break
@@ -188,37 +188,36 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
 
         # An infeasible pass moves nothing: its totals stay as they were.
         reason = feasibility_check(current, suggestion)
-        plan, totals_after, unbalance_after = None, totals, unbalance
+        plan, totals_before = None, totals
         if reason is None:
             vector = determine(current, suggestion, cfg.integer_scale)
             plan = distribute(vector, suggestion, cfg.integer_scale)
             current = apply_plan(current, plan)
-            totals_after = phase_totals(current)
-            unbalance_after = avg_unbalance(totals_after)
+            totals = phase_totals(current)
+            unbalance = avg_unbalance(totals)
         records.append(
             IterationRecord(
-                totals_before=totals,
+                totals_before=totals_before,
                 suggestion_raw=raw,
                 average_error=ae,
                 error_vector=error,
                 suggestion_corrected=corrected,
                 plan=plan,
                 infeasibility=reason,
-                totals_after=totals_after,
-                unbalance_after=unbalance_after,
+                totals_after=totals,
+                unbalance_after=unbalance,
             )
         )
         if reason is not None:
             status = INFEASIBLE
             break
 
-    final_totals = phase_totals(current)
     return BalanceReport(
         initial_totals=initial_totals,
         initial_unbalance=initial_unbalance,
         iterations=tuple(records),
         status=status,
-        final_totals=final_totals,
-        final_unbalance=avg_unbalance(final_totals),
+        final_totals=totals,
+        final_unbalance=unbalance,
         final_snapshot=current,
     )

@@ -166,10 +166,12 @@ def _cmd_unbalance(args: argparse.Namespace) -> int:
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     controller = _load_controller(args.controller)
-    if args.step <= 0:
-        raise _CliError(f"step must be positive, got {args.step:g}")
+    try:
+        samples = response_samples(controller, args.step)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     lines = ["load,change"]
-    for load, change in response_samples(controller, args.step):
+    for load, change in samples:
         lines.append(f"{load:g},{change:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:

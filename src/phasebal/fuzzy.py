@@ -391,8 +391,8 @@ def response_samples(ctrl: FuzzyController, step: float = 1.0) -> list[tuple[flo
     The top of the universe is always included, so the sampled relation
     spans the full design range even when step does not divide it.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     lo, hi = ctrl.input.universe
     samples = []
     k = 0

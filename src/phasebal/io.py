@@ -14,7 +14,9 @@ import csv
 import io as _io
 import json
 import math
+import sys
 from importlib import resources
+from itertools import chain
 from typing import TextIO
 
 from .balancing import INFEASIBLE, BalanceReport
@@ -42,8 +44,9 @@ def parse_feeder_csv(text: str) -> FeederSnapshot:
 
     Header must be exactly phase1,phase2,phase3. Every row needs three
     fields; a blank field is simply the absence of a point in that phase.
-    Values must be finite and non-negative. Line numbers in errors are
-    1-based and count the header.
+    Values must be finite and non-negative, and twice their sum must be
+    finite, so that no phase total or unbalance overflows. Line numbers
+    in errors are 1-based and count the header.
     """
     rows = list(csv.reader(_io.StringIO(text)))
     rows = [row for row in rows if row]  # csv yields [] for blank lines
@@ -84,6 +87,14 @@ def parse_feeder_csv(text: str) -> FeederSnapshot:
             phases[col].append(value)
     if all(not p for p in phases):
         raise FeederFormatError("feeder file has no load points")
+    # Any phase total, and the unbalance of any assignment of the points,
+    # stays finite when twice the system total does.
+    try:
+        total = math.fsum(chain.from_iterable(phases))
+    except OverflowError:
+        total = math.inf
+    if math.isinf(2 * total):
+        raise FeederFormatError(f"total load exceeds {sys.float_info.max / 2:g} kW")
     return FeederSnapshot.from_lists(phases)
 
 

@@ -1,14 +1,18 @@
 """Translate corrected per-phase change values into concrete load-point moves.
 
-Two steps. The determine step picks, for every releasing phase (negative
-change), how many points leave and which ones: an exact fixed-cardinality
-subset selection that minimizes the gap between the selected sum and the
-requested release, solved exactly at any instance size (no cap). The
-distribute step pools the selected points into a single change vector
-and allocates them to the receiving phases; with two receivers the first
-gets a subset selected the same way and the second gets everything left
+Two steps, both built on one size-and-select step: a change of c kW
+moves points_to_move(c) points, chosen by an exact fixed-cardinality
+subset selection that minimizes the gap between the selected sum and c,
+solved exactly at any instance size (no cap). The determine step runs it
+for every releasing phase (negative change) and pools the selected
+points into a single change vector. The distribute step allocates them
+to the receiving phases; with two receivers the first gets the points
+the same step selects from the pool and the second gets everything left
 over, so released and received always tally even when no exact-sum
 subset exists.
+
+The change vector and the plan are plain records; balancing.apply_plan
+is the one place that checks a plan's moves against a snapshot.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ class ChangeSuggestion(Frozen):
     """Signed per-phase change vector (integer kW).
 
     corrected=True marks a vector that went through zero-sum error
-    correction; such a vector must sum to exactly 0, which also means it
-    can never have three components of the same strict sign.
+    correction; such a vector must sum to exactly 0, so it never has three
+    components of the same strict sign.
     """
 
     __slots__ = ("delta", "corrected")
@@ -48,14 +52,9 @@ class ChangeSuggestion(Frozen):
         if len(delta) != NUM_PHASES:
             raise ValueError(f"expected {NUM_PHASES} components, got {len(delta)}")
         delta = tuple(int(d) for d in delta)
+        if corrected and sum(delta) != 0:
+            raise ValueError(f"corrected suggestion must sum to 0, got {delta}")
         self._assign(delta, corrected)
-        if corrected:
-            if sum(delta) != 0:
-                raise ValueError(f"corrected suggestion must sum to 0, got {delta}")
-            negs = sum(1 for d in delta if d < 0)
-            poss = sum(1 for d in delta if d > 0)
-            if negs > 2 or poss > 2:
-                raise ValueError(f"corrected suggestion has 3 components of one sign: {delta}")
 
     @property
     def releasing(self) -> tuple[int, ...]:
@@ -80,7 +79,7 @@ class ChangeEntry(NamedTuple):
     power: float
 
 
-class ChangeVector(Frozen):
+class ChangeVector(NamedTuple):
     """Pooled points released by the determine step, in selection order.
 
     deviation is the combined absolute gap (kW) between each releasing
@@ -88,20 +87,8 @@ class ChangeVector(Frozen):
     subsets exist.
     """
 
-    __slots__ = ("entries", "deviation")
     entries: tuple[ChangeEntry, ...]
-    deviation: float
-
-    def __init__(self, entries: tuple[ChangeEntry, ...], deviation: float = 0.0) -> None:
-        self._assign(entries, deviation)
-        seen = set()
-        for e in entries:
-            key = (e.source_phase, e.point_index)
-            if key in seen:
-                raise ValueError(f"duplicate change entry for phase {e.source_phase + 1} point {e.point_index}")
-            seen.add(key)
-            if e.power <= 0:
-                raise ValueError(f"change entry power must be > 0, got {e.power!r}")
+    deviation: float = 0.0
 
     def total(self) -> float:
         return math.fsum(e.power for e in self.entries)
@@ -116,19 +103,14 @@ class Move(NamedTuple):
     power: float
 
 
-class BalancePlan(Frozen):
-    """Concrete set of moves; per-phase released/received tallies derive from it."""
+class BalancePlan(NamedTuple):
+    """Concrete set of moves; per-phase released/received tallies derive from it.
 
-    __slots__ = ("moves",)
+    Building a plan checks nothing: apply_plan refuses moves that do not
+    fit the snapshot they are applied to.
+    """
+
     moves: tuple[Move, ...]
-
-    def __init__(self, moves: tuple[Move, ...]) -> None:
-        self._assign(moves)
-        for m in moves:
-            if m.source_phase == m.dest_phase:
-                raise ValueError(f"move of point {m.point_index} stays on phase {m.source_phase + 1}")
-            if not (0 <= m.source_phase < NUM_PHASES and 0 <= m.dest_phase < NUM_PHASES):
-                raise ValueError(f"move references phase outside 1..{NUM_PHASES}")
 
     @property
     def released_per_phase(self) -> tuple[float, float, float]:
@@ -279,6 +261,11 @@ def select_subset(
     return SubsetSelection(tuple(chosen), float(abs(achieved - target)))
 
 
+def _size_and_select(points: Sequence[float], change: float, scale: int) -> SubsetSelection:
+    """The points a change of `change` kW moves: how many, then which."""
+    return select_subset(points, points_to_move(change, points), change, scale)
+
+
 def determine(
     snapshot: FeederSnapshot, suggestion: ChangeSuggestion, scale: int = 1
 ) -> ChangeVector:
@@ -291,9 +278,7 @@ def determine(
     deviation = 0.0
     for i in suggestion.releasing:
         points = snapshot.phases[i]
-        release = float(-suggestion.delta[i])
-        n = points_to_move(release, points)
-        picked = select_subset(points, n, release, scale)
+        picked = _size_and_select(points, float(-suggestion.delta[i]), scale)
         entries.extend(
             ChangeEntry(i, j, points[j]) for j in picked.indices if points[j] > 0
         )
@@ -307,30 +292,22 @@ def distribute(
     """Allocate the pooled change vector to the receiving phases.
 
     A single receiver takes every entry. With two receivers, the first in
-    phase order gets a subset sized and selected against its own change
-    value; the second gets all remaining entries, which keeps released
-    and received equal regardless of how close the subset landed.
+    phase order gets the entries selected against its own change value;
+    the second gets all remaining entries, which keeps released and
+    received equal regardless of how close the selection landed.
     """
     receivers = suggestion.receiving
-    if not receivers:
-        raise ValueError("suggestion has no receiving phase")
-    if len(receivers) > 2:
-        raise ValueError("at most two phases can receive")
-
+    if not 1 <= len(receivers) <= 2:
+        raise ValueError(f"expected one or two receiving phases, got {len(receivers)}")
+    first, last = receivers[0], receivers[-1]
     entries = vector.entries
-    if len(receivers) == 1 or not entries:
-        dest = {k: receivers[0] for k in range(len(entries))}
-    else:
-        first, second = receivers
+    to_first: set[int] = set()
+    if first != last and entries:
         powers = [e.power for e in entries]
-        n_first = points_to_move(float(suggestion.delta[first]), powers)
-        picked = select_subset(powers, n_first, float(suggestion.delta[first]), scale)
-        to_first = set(picked.indices)
-        dest = {k: (first if k in to_first else second) for k in range(len(entries))}
-
+        to_first = set(_size_and_select(powers, float(suggestion.delta[first]), scale).indices)
     return BalancePlan(
         tuple(
-            Move(e.source_phase, e.point_index, dest[k], e.power)
+            Move(e.source_phase, e.point_index, first if k in to_first else last, e.power)
             for k, e in enumerate(entries)
         )
     )

@@ -80,6 +80,25 @@ class TestApplyPlan:
         with pytest.raises(ValueError):
             apply_plan(before, plan)
 
+    @pytest.mark.parametrize("src, dst", [(-1, 1), (0, -1), (3, 1), (0, 3)])
+    def test_rejects_phase_outside_range(self, src, dst):
+        before = snap([5], [1], [1])
+        plan = BalancePlan((Move(src, 0, dst, 5.0),))
+        with pytest.raises(ValueError, match="leaves phases 1..3"):
+            apply_plan(before, plan)
+
+    def test_rejects_move_within_one_phase(self):
+        before = snap([5], [1], [1])
+        with pytest.raises(ValueError, match="stays on its phase"):
+            apply_plan(before, BalancePlan((Move(1, 0, 1, 1.0),)))
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("nan")])
+    def test_rejects_power_of_zero_or_less(self, power):
+        before = snap([5, 0], [1], [1])
+        plan = BalancePlan((Move(0, 1, 2, power),))
+        with pytest.raises(ValueError, match="more than 0"):
+            apply_plan(before, plan)
+
 
 class TestBalancerConfig:
     def test_defaults(self):

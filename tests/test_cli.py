@@ -179,6 +179,19 @@ class TestUnbalanceCommand:
         assert capsys.readouterr().out.strip() == "0.00"
 
 
+class TestOverflowingFeeder:
+    @pytest.mark.parametrize("command", ["balance", "unbalance"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_exits_1_with_a_message(self, tmp_path, capsys, command, rows):
+        path = tmp_path / "feeder.csv"
+        path.write_text("phase1,phase2,phase3\n" + "1e308,1,1\n" * rows)
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "phasebal: error:" in captured.err and "total load exceeds" in captured.err
+        assert captured.out == ""
+
+
 class TestSurfaceCommand:
     def test_stdout_table(self, capsys):
         code = main(["surface"])
@@ -200,6 +213,14 @@ class TestSurfaceCommand:
     def test_bad_step_exits_1(self, capsys):
         code = main(["surface", "--step", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_1(self, capsys, step):
+        code = main(["surface", "--step", step])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "phasebal: error: step must be finite and positive" in captured.err
+        assert captured.out == ""
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         code = main(["surface", "--out", str(tmp_path / "missing" / "s.csv")])

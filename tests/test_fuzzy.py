@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from phasebal.fuzzy import (
@@ -263,3 +265,8 @@ class TestResponseSamples:
     def test_uneven_step_still_includes_top(self, controller):
         rows = response_samples(controller, 7.0)
         assert rows[-1][0] == 300.0
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, controller, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            response_samples(controller, step)

@@ -20,7 +20,7 @@ from phasebal.io import (
     write_moves_csv,
     write_report,
 )
-from phasebal.model import FeederSnapshot, phase_totals
+from phasebal.model import FeederSnapshot, avg_unbalance, phase_totals
 
 
 class TestParseFeederCsv:
@@ -67,6 +67,17 @@ class TestParseFeederCsv:
     def test_all_blank_rows(self):
         with pytest.raises(FeederFormatError, match="no load points"):
             parse_feeder_csv("phase1,phase2,phase3\n,,\n")
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_total_that_would_overflow(self, rows):
+        # one 1e308 row overflows the unbalance, two overflow the phase total
+        with pytest.raises(FeederFormatError, match="total load exceeds"):
+            parse_feeder_csv("phase1,phase2,phase3\n" + "1e308,1,1\n" * rows)
+
+    def test_largest_total_is_accepted(self):
+        # 7.5e307 kW in all; twice that is still below the largest float
+        snap = parse_feeder_csv("phase1,phase2,phase3\n2.5e307,2.5e307,\n2.5e307,,\n")
+        assert avg_unbalance(phase_totals(snap)) == pytest.approx(2 * 5e307 / 3)
 
 
 class TestFeederRoundTrip:

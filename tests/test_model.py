@@ -14,6 +14,7 @@ from phasebal.fuzzy import (
 from phasebal.io import load_reference_feeder
 from phasebal.model import (
     FeederSnapshot,
+    Frozen,
     avg_unbalance,
     phase_totals,
     round_half_away,
@@ -93,6 +94,21 @@ class TestMetrics:
         snap = FeederSnapshot.from_lists([[7] * 13, [11] * 5, [3] * 9])
         assert system_total(snap) == 7 * 13 + 11 * 5 + 3 * 9
         assert math.fsum(phase_totals(snap)) == system_total(snap)
+
+
+def test_only_types_built_from_outside_input_validate():
+    """Controller file, feeder CSV, CLI arguments and a caller's suggestion;
+    the planner's own records are NamedTuples that apply_plan checks."""
+    assert {c.__name__ for c in Frozen.__subclasses__()} == {
+        "TriangularMF",
+        "LinguisticVariable",
+        "FuzzyController",
+        "FeederSnapshot",
+        "BalancerConfig",
+        "ChangeSuggestion",
+    }
+    for record in (ChangeEntry, ChangeVector, Move, BalancePlan):
+        assert issubclass(record, tuple) and hasattr(record, "_fields")
 
 
 def _other_feeder_report():

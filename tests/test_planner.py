@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from phasebal.balancing import apply_plan
 from phasebal.model import FeederSnapshot
 from phasebal.planner import (
     BalancePlan,
@@ -219,10 +220,16 @@ class TestDistribute:
 
 
 class TestPlanInvariants:
+    """Plans and change vectors are plain records; apply_plan refuses bad moves."""
+
     def test_move_to_same_phase_rejected(self):
-        with pytest.raises(ValueError):
-            BalancePlan((Move(0, 0, 0, 5.0),))
+        plan = BalancePlan((Move(0, 0, 0, 5.0),))
+        with pytest.raises(ValueError, match="stays on its phase"):
+            apply_plan(snap([5], [1], [1]), plan)
 
     def test_duplicate_change_entries_rejected(self):
-        with pytest.raises(ValueError):
-            ChangeVector((ChangeEntry(0, 1, 2.0), ChangeEntry(0, 1, 2.0)))
+        s = ChangeSuggestion((-4, 4, 0), corrected=True)
+        vec = ChangeVector((ChangeEntry(0, 1, 2.0), ChangeEntry(0, 1, 2.0)))
+        plan = distribute(vec, s)
+        with pytest.raises(ValueError, match="moved twice"):
+            apply_plan(snap([1, 2], [1], [1]), plan)

@@ -3,10 +3,20 @@ import json
 import math
 import sys
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phasebal.balancing import BalancerConfig, balance, error_correct
+from phasebal.balancing import (
+    ALREADY_BALANCED,
+    BALANCED,
+    INFEASIBLE,
+    ITERATION_CAP,
+    OVER_CAPACITY,
+    BalancerConfig,
+    balance,
+    error_correct,
+)
 from phasebal.fuzzy import (
     FuzzyController,
     LinguisticVariable,
@@ -18,7 +28,7 @@ from phasebal.fuzzy import (
     suggest_changes,
     write_controller,
 )
-from phasebal.io import parse_feeder_csv, write_feeder_csv, write_report
+from phasebal.io import FeederFormatError, parse_feeder_csv, write_feeder_csv, write_report
 from phasebal.model import FeederSnapshot, avg_unbalance, round_half_away, system_total
 from phasebal.planner import points_to_move, select_subset
 
@@ -31,6 +41,7 @@ from .oracles import (
 )
 
 CONTROLLER = default_controller()
+STATUSES = {BALANCED, ALREADY_BALANCED, INFEASIBLE, ITERATION_CAP, OVER_CAPACITY}
 
 
 @st.composite
@@ -276,7 +287,16 @@ class TestFeederFormatProperties:
         snap = FeederSnapshot.from_lists(phases)
         out = io.StringIO()
         write_feeder_csv(snap, out)
-        assert parse_feeder_csv(out.getvalue()) == snap
+        # The parser refuses a feeder whose doubled total load overflows.
+        try:
+            fits = math.isfinite(2 * system_total(snap))
+        except OverflowError:
+            fits = False
+        if fits:
+            assert parse_feeder_csv(out.getvalue()) == snap
+        else:
+            with pytest.raises(FeederFormatError, match="total load exceeds"):
+                parse_feeder_csv(out.getvalue())
 
 
 class TestCorrectionProperties:
@@ -317,6 +337,22 @@ class TestPipelineProperties:
         report = balance(snap)
         for rec in report.iterations:
             assert sum(rec.suggestion_corrected) == 0
+
+    @given(snapshots())
+    @settings(max_examples=100, deadline=None)
+    def test_ends_in_a_documented_status(self, snap):
+        assert balance(snap).status in STATUSES
+
+    @given(snapshots(), multi_rule_cases(), st.sampled_from([10.0, 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_custom_controllers(self, snap, case, threshold):
+        """Conservation, zero-sum corrections and a documented status hold
+        for any controller, not only the default one."""
+        report = balance(snap, BalancerConfig(threshold, 10, case[0]))
+        assert system_total(report.final_snapshot) == system_total(snap)
+        for rec in report.iterations:
+            assert sum(rec.suggestion_corrected) == 0
+        assert report.status in STATUSES
 
     @given(snapshots())
     @settings(max_examples=100, deadline=None)
