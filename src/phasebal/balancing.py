@@ -128,7 +128,7 @@ def apply_plan(snapshot: FeederSnapshot, plan: BalancePlan) -> FeederSnapshot:
     a point index out of range, a power of 0 kW or less, a power that
     differs from the snapshot's value, or a point moved twice.
     """
-    taken: set[tuple[int, int]] = set()
+    taken: tuple[set[int], ...] = tuple(set() for _ in range(NUM_PHASES))
     for src, j, dst, power in plan.moves:
         if not (0 <= src < NUM_PHASES and 0 <= dst < NUM_PHASES):
             raise ValueError(f"move of point {j} from phase {src + 1} to {dst + 1} leaves phases 1..{NUM_PHASES}")
@@ -141,13 +141,13 @@ def apply_plan(snapshot: FeederSnapshot, plan: BalancePlan) -> FeederSnapshot:
             raise ValueError(f"move of phase {src + 1} point {j} carries {power!r} kW; it must carry more than 0")
         if points[j] != power:
             raise ValueError(f"move expects {power!r} kW at phase {src + 1} point {j}, snapshot has {points[j]!r}")
-        if (src, j) in taken:
+        if j in taken[src]:
             raise ValueError(f"phase {src + 1} point {j} moved twice")
-        taken.add((src, j))
+        taken[src].add(j)
 
     new_phases: list[list[float]] = [
-        [p for j, p in enumerate(points) if (i, j) not in taken]
-        for i, points in enumerate(snapshot.phases)
+        [p for j, p in enumerate(points) if j not in gone]
+        for points, gone in zip(snapshot.phases, taken)
     ]
     for mv in plan.moves:
         new_phases[mv.dest_phase].append(mv.power)

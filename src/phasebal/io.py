@@ -16,11 +16,10 @@ import json
 import math
 import sys
 from importlib import resources
-from itertools import chain
 from typing import TextIO
 
 from .balancing import INFEASIBLE, BalanceReport
-from .model import FeederSnapshot, format_number
+from .model import FeederSnapshot, format_number, system_total
 
 __all__ = [
     "FeederFormatError",
@@ -87,15 +86,16 @@ def parse_feeder_csv(text: str) -> FeederSnapshot:
             phases[col].append(value)
     if all(not p for p in phases):
         raise FeederFormatError("feeder file has no load points")
+    snapshot = FeederSnapshot.from_lists(phases)
     # Any phase total, and the unbalance of any assignment of the points,
     # stays finite when twice the system total does.
     try:
-        total = math.fsum(chain.from_iterable(phases))
+        doubled = 2 * system_total(snapshot)
     except OverflowError:
-        total = math.inf
-    if math.isinf(2 * total):
+        doubled = math.inf
+    if math.isinf(doubled):
         raise FeederFormatError(f"total load exceeds {sys.float_info.max / 2:g} kW")
-    return FeederSnapshot.from_lists(phases)
+    return snapshot
 
 
 def write_feeder_csv(snapshot: FeederSnapshot, out: TextIO) -> None:

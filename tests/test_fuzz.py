@@ -1,10 +1,11 @@
 """Malformed and edge-case input through the command line, in process.
 
 Every feeder and controller text either ends in a documented exit code
-or is refused with a message; no exception escapes cli.main. Universes
-and load values stay below about 1000 kW unless they are refused or
-over capacity: the subset solver's memory grows with the lattice sum of
-the points it is asked to move, and nothing bounds that sum yet.
+or is refused with a message; no exception escapes cli.main. Feeder
+texts run under the default controller and controller texts on the
+bundled reference feeder: huge points under a controller with a huge
+input universe would exhaust memory in the subset solver, whose lattice
+sum nothing bounds yet.
 """
 
 import contextlib
