@@ -4,9 +4,10 @@ These deliberately share no code with the package: the subset oracle
 enumerates combinations outright, the fine-grid centroid oracle
 integrates the aggregated output set numerically on a fine grid with
 membership computed by interpolation, and the sampled-grid oracle sums
-the aggregate sample by sample on the controller's own grid, and the
-pipeline oracle writes the balancing loop out pass by pass, with the
-subset oracle picking the points. Slow and simple on purpose.
+the aggregate sample by sample on the controller's own grid. The
+pipeline oracle writes the balancing loop out pass by pass; it takes
+only the fuzzy inference from the package and picks points with the
+subset oracle. Slow and simple on purpose.
 """
 
 from __future__ import annotations

@@ -330,6 +330,7 @@ class TestPipelineProperties:
     def test_balance_conserves_total_load(self, snap):
         report = balance(snap)
         assert system_total(report.final_snapshot) == system_total(snap)
+        assert report.status in STATUSES
 
     @given(snapshots())
     @settings(max_examples=150, deadline=None)
@@ -337,11 +338,6 @@ class TestPipelineProperties:
         report = balance(snap)
         for rec in report.iterations:
             assert sum(rec.suggestion_corrected) == 0
-
-    @given(snapshots())
-    @settings(max_examples=100, deadline=None)
-    def test_ends_in_a_documented_status(self, snap):
-        assert balance(snap).status in STATUSES
 
     @given(snapshots(), multi_rule_cases(), st.sampled_from([10.0, 2.0]))
     @settings(max_examples=150, deadline=None)
