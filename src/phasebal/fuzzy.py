@@ -108,9 +108,9 @@ def membership_at(mf: TriangularMF, x: float) -> float:
 class LinguisticVariable(Frozen):
     """A named quantity partitioned into overlapping triangular terms.
 
-    Terms must lie within the universe and chain across it (each term
-    starts no later than the furthest right edge reached so far), so that
-    the universe has no interior gap with zero coverage.
+    The universe must be finite. Terms must lie within it and chain across
+    it (each term starts no later than the furthest right edge reached so
+    far), so that the universe has no interior gap with zero coverage.
     """
 
     __slots__ = ("name", "universe", "terms")
@@ -122,8 +122,8 @@ class LinguisticVariable(Frozen):
         self, name: str, universe: tuple[float, float], terms: tuple[TriangularMF, ...]
     ) -> None:
         lo, hi = universe
-        if not (lo < hi):
-            raise ValueError(f"variable {name}: empty universe [{lo}, {hi}]")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"variable {name}: universe [{lo}, {hi}] must be finite and non-empty")
         if not terms:
             raise ValueError(f"variable {name}: needs at least one term")
         labels = [t.label for t in terms]

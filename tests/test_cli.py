@@ -179,6 +179,27 @@ class TestUnbalanceCommand:
         assert capsys.readouterr().out.strip() == "0.00"
 
 
+INFINITE_INPUT_CONTROLLER = """\
+input L 0 inf
+term A 0 100 inf
+output C -150 150
+term X -150 0 150
+rule A -> X
+"""
+
+
+class TestInfiniteUniverse:
+    @pytest.mark.parametrize("argv", [["surface", "--step", "50"], ["infer", "--load", "150"]])
+    def test_controller_is_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "ctrl.txt"
+        path.write_text(INFINITE_INPUT_CONTROLLER)
+        code = main([*argv, "--controller", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "phasebal: error:" in captured.err and "must be finite" in captured.err
+        assert captured.out == ""
+
+
 class TestOverflowingFeeder:
     @pytest.mark.parametrize("command", ["balance", "unbalance"])
     @pytest.mark.parametrize("rows", [1, 2])

@@ -77,6 +77,12 @@ class TestLinguisticVariable:
                 "x", (0, 10), (TriangularMF("a", 0, 0, 6), TriangularMF("a", 4, 10, 10))
             )
 
+    @pytest.mark.parametrize("lo, hi", [(0, math.inf), (-math.inf, 10), (-math.inf, math.inf)])
+    def test_universe_must_be_finite(self, lo, hi):
+        # an infinite edge makes memberships nan and the surface sweep endless
+        with pytest.raises(ValueError, match="must be finite"):
+            LinguisticVariable("x", (lo, hi), (TriangularMF("a", lo, 5, hi),))
+
 
 class TestDefaultController:
     def test_eight_terms_and_rules(self, controller):
