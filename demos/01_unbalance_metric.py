@@ -7,7 +7,7 @@ absolute difference of the three phase totals.
 
 from phasebal import FeederSnapshot, avg_unbalance, phase_totals, system_total
 
-feeder = FeederSnapshot.from_lists(
+feeder = FeederSnapshot(
     [
         [5, 4, 4, 3, 2, 1, 2, 3, 5, 2],   # phase 1: 31 kW
         [4, 2, 3, 1, 3],                  # phase 2: 13 kW
@@ -31,7 +31,7 @@ for t in [(10.0, 10.0, 10.0), (200.0, 200.0, 200.0)]:
 
 # the metric only sees totals, so moving a point between phases changes
 # it even though the system total stays put
-shifted = FeederSnapshot.from_lists(
+shifted = FeederSnapshot(
     [
         [5, 4, 4, 3, 2, 1, 2, 3],
         [4, 2, 3, 1, 3, 5, 2],

@@ -44,7 +44,7 @@ print(f"  enumerate -> indices {best}, deviation {abs(sum(points[i] for i in bes
 print()
 
 # the full planning step: phase 1 releases, phases 2 and 3 receive
-suggestion = ChangeSuggestion((-99, 30, 69), corrected=True)
+suggestion = ChangeSuggestion((-99, 30, 69))
 vector = determine(feeder, suggestion)
 plan = distribute(vector, suggestion)
 print(f"change vector: {len(vector.entries)} points, {vector.total():g} kW pooled")

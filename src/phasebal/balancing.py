@@ -151,7 +151,7 @@ def apply_plan(snapshot: FeederSnapshot, plan: BalancePlan) -> FeederSnapshot:
     ]
     for mv in plan.moves:
         new_phases[mv.dest_phase].append(mv.power)
-    return FeederSnapshot.from_lists(new_phases)
+    return FeederSnapshot(new_phases)
 
 
 def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> BalanceReport:
@@ -184,7 +184,7 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
 
         raw = suggest_changes(cfg.controller, totals)
         ae, error, corrected = error_correct(raw)
-        suggestion = ChangeSuggestion(corrected, corrected=True)
+        suggestion = ChangeSuggestion(corrected)
 
         # An infeasible pass moves nothing: its totals stay as they were.
         reason = feasibility_check(current, suggestion)
@@ -196,17 +196,7 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
             totals = phase_totals(current)
             unbalance = avg_unbalance(totals)
         records.append(
-            IterationRecord(
-                totals_before=totals_before,
-                suggestion_raw=raw,
-                average_error=ae,
-                error_vector=error,
-                suggestion_corrected=corrected,
-                plan=plan,
-                infeasibility=reason,
-                totals_after=totals,
-                unbalance_after=unbalance,
-            )
+            IterationRecord(totals_before, raw, ae, error, corrected, plan, reason, totals, unbalance)
         )
         if reason is not None:
             status = INFEASIBLE

@@ -25,14 +25,13 @@ from typing import Sequence
 
 from .balancing import ALREADY_BALANCED, BALANCED, BalancerConfig, balance
 from .fuzzy import (
-    ControllerFormatError,
     UniverseError,
     default_controller,
     infer_change,
     parse_controller,
     response_samples,
 )
-from .io import FeederFormatError, parse_feeder_csv, write_moves_csv, write_report
+from .io import parse_feeder_csv, write_moves_csv, write_report
 from .model import avg_unbalance, phase_totals
 
 __all__ = ["main"]
@@ -76,30 +75,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(kind: str, path: str, parse):
+    """Read a UTF-8 text file and parse it. A file that cannot be read,
+    does not decode or does not parse is a _CliError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise _CliError(f"cannot read {kind} file: {exc}") from None
+    except ValueError as exc:
+        raise _CliError(f"{kind} file {path}: {exc}") from None
+
+
 def _load_controller(path: str | None):
     if path is None:
         return default_controller()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read controller file: {exc}") from None
-    try:
-        return parse_controller(text)
-    except ControllerFormatError as exc:
-        raise _CliError(f"controller file {path}: {exc}") from None
+    return _load("controller", path, parse_controller)
 
 
 def _load_feeder(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read feeder file: {exc}") from None
-    try:
-        return parse_feeder_csv(text)
-    except (FeederFormatError, ValueError) as exc:
-        raise _CliError(f"feeder file {path}: {exc}") from None
+    return _load("feeder", path, parse_feeder_csv)
 
 
 def _fmt_totals(totals: Sequence[float]) -> str:

@@ -160,10 +160,12 @@ class FuzzyController(Frozen):
 
     integration_resolution is the number of uniform samples taken over
     the output universe when an aggregate of two or more clipped
-    consequents is defuzzified. The sum over those samples is computed
-    piece by piece, so a larger resolution costs no time. Every output
-    term must hold a sample with membership above 0, so that such an
-    aggregate never sums to 0.
+    consequents is defuzzified: at least 2, the two ends of the universe.
+    The sum over those samples is computed piece by piece, so a larger
+    resolution costs no time. Every output term must hold a sample with
+    membership above 0, so that such an aggregate never sums to 0; that
+    check, not the floor of 2, is what refuses a grid too coarse for the
+    terms.
     """
 
     # _rule_terms: each rule's (antecedent, consequent) terms, resolved
@@ -185,9 +187,9 @@ class FuzzyController(Frozen):
         if not rules:
             raise ValueError("controller needs at least one rule")
         rule_terms = tuple((input.term(ant), output.term(cons)) for ant, cons in rules)
-        if integration_resolution < 1000:
+        if integration_resolution < 2:
             raise ValueError(
-                f"integration resolution must be >= 1000, got {integration_resolution}"
+                f"integration resolution must be >= 2, got {integration_resolution}"
             )
         lo, hi = output.universe
         last = integration_resolution - 1

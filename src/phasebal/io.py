@@ -14,12 +14,11 @@ import csv
 import io as _io
 import json
 import math
-import sys
 from importlib import resources
 from typing import TextIO
 
 from .balancing import INFEASIBLE, BalanceReport
-from .model import FeederSnapshot, format_number, system_total
+from .model import FeederSnapshot, format_number
 
 __all__ = [
     "FeederFormatError",
@@ -43,9 +42,10 @@ def parse_feeder_csv(text: str) -> FeederSnapshot:
 
     Header must be exactly phase1,phase2,phase3. Every row needs three
     fields; a blank field is simply the absence of a point in that phase.
-    Values must be finite and non-negative, and twice their sum must be
-    finite, so that no phase total or unbalance overflows. Line numbers
-    in errors are 1-based and count the header.
+    Each value must be finite and non-negative, checked here so that the
+    error names its line (1-based, counting the header); FeederSnapshot
+    owns the rule on the total, and its refusal becomes a
+    FeederFormatError too.
     """
     rows = list(csv.reader(_io.StringIO(text)))
     rows = [row for row in rows if row]  # csv yields [] for blank lines
@@ -86,16 +86,10 @@ def parse_feeder_csv(text: str) -> FeederSnapshot:
             phases[col].append(value)
     if all(not p for p in phases):
         raise FeederFormatError("feeder file has no load points")
-    snapshot = FeederSnapshot.from_lists(phases)
-    # Any phase total, and the unbalance of any assignment of the points,
-    # stays finite when twice the system total does.
     try:
-        doubled = 2 * system_total(snapshot)
-    except OverflowError:
-        doubled = math.inf
-    if math.isinf(doubled):
-        raise FeederFormatError(f"total load exceeds {sys.float_info.max / 2:g} kW")
-    return snapshot
+        return FeederSnapshot(phases)
+    except ValueError as exc:
+        raise FeederFormatError(str(exc)) from None
 
 
 def write_feeder_csv(snapshot: FeederSnapshot, out: TextIO) -> None:

@@ -9,6 +9,7 @@ points.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain
 from typing import Sequence
 
@@ -100,8 +101,10 @@ class Frozen:
 class FeederSnapshot(Frozen):
     """Immutable state of the feeder: three tuples of load-point powers (kW).
 
-    Every load point is a finite, non-negative kW value. Point counts per
-    phase may differ (and will, after moves are applied).
+    Every load point is a finite, non-negative kW value, and twice the
+    system total is finite, so that no phase total and no unbalance of
+    any assignment of the points overflows. Point counts per phase may
+    differ (and will, after moves are applied).
     """
 
     __slots__ = ("phases",)
@@ -120,10 +123,12 @@ class FeederSnapshot(Frozen):
                     raise ValueError(f"phase {i + 1} point {j} is not finite: {p!r}")
                 if p < 0:
                     raise ValueError(f"phase {i + 1} point {j} is negative: {p!r}")
-
-    @classmethod
-    def from_lists(cls, phases: Sequence[Sequence[float]]) -> "FeederSnapshot":
-        return cls(tuple(tuple(ph) for ph in phases))
+        try:
+            doubled = 2 * system_total(self)
+        except OverflowError:
+            doubled = math.inf
+        if math.isinf(doubled):
+            raise ValueError(f"total load exceeds {sys.float_info.max / 2:g} kW")
 
 
 def phase_totals(snapshot: FeederSnapshot) -> PhaseTotals:

@@ -37,24 +37,23 @@ __all__ = [
 ]
 
 class ChangeSuggestion(Frozen):
-    """Signed per-phase change vector (integer kW).
+    """Error-corrected per-phase change vector (integer kW).
 
-    corrected=True marks a vector that went through zero-sum error
-    correction; such a vector must sum to exactly 0, so it never has three
-    components of the same strict sign.
+    Moving points neither creates nor destroys load, so the vector must
+    sum to exactly 0: unless every component is 0, some phase releases
+    and some phase receives.
     """
 
-    __slots__ = ("delta", "corrected")
+    __slots__ = ("delta",)
     delta: tuple[int, int, int]
-    corrected: bool
 
-    def __init__(self, delta: Sequence[int], corrected: bool = False) -> None:
+    def __init__(self, delta: Sequence[int]) -> None:
         if len(delta) != NUM_PHASES:
             raise ValueError(f"expected {NUM_PHASES} components, got {len(delta)}")
         delta = tuple(int(d) for d in delta)
-        if corrected and sum(delta) != 0:
-            raise ValueError(f"corrected suggestion must sum to 0, got {delta}")
-        self._assign(delta, corrected)
+        if sum(delta) != 0:
+            raise ValueError(f"suggestion must sum to 0, got {delta}")
+        self._assign(delta)
 
     @property
     def releasing(self) -> tuple[int, ...]:
@@ -144,16 +143,11 @@ def feasibility_check(snapshot: FeederSnapshot, suggestion: ChangeSuggestion) ->
     point strictly below the change magnitude, or no point combination
     can realize the change without altering the system total; phases with
     zero change are exempt. A releasing phase with no point above 0 kW has
-    nothing to give up. An all-zero or single-signed suggestion has
-    nothing to move and is likewise rejected (the latter cannot survive
-    error correction, but is checked defensively).
+    nothing to give up. An all-zero suggestion has nothing to move and is
+    likewise rejected.
     """
     if all(d == 0 for d in suggestion.delta):
         return "no-op suggestion: all phase changes are zero"
-    if not suggestion.releasing:
-        return "suggestion only receives load; no phase releases"
-    if not suggestion.receiving:
-        return "suggestion only releases load; no phase receives"
     for i, d in enumerate(suggestion.delta):
         if d == 0:
             continue
@@ -195,13 +189,14 @@ def select_subset(
     Exact dynamic program over (cardinality, achievable sum) on an integer
     kW lattice: powers are scaled by the integer factor `scale` and
     rounded before the DP, so fractional data can be resolved to 1/scale
-    kW. Each suffix of the points keeps one Python-int bitset of
-    reachable sums per cardinality, so the solver is exact at any
-    instance size, with no size cap; time and memory grow with points x
-    cardinality x lattice sum, at one bit per sum. Among all
-    minimum-deviation subsets the lexicographically smallest index set
-    is returned; the reported deviation is measured in the original
-    units.
+    kW. The lattice weights are divided by their greatest common
+    divisor, which changes no subset's deviation. Each suffix of the
+    points keeps one Python-int bitset of reachable sums per
+    cardinality, so the solver is exact at any instance size, with no
+    size cap; time and memory grow with points x cardinality x reduced
+    lattice sum, at one bit per sum. Among all minimum-deviation subsets
+    the lexicographically smallest index set is returned; the reported
+    deviation is measured in the original units.
     """
     pts = [float(p) for p in points]
     m = len(pts)
@@ -211,11 +206,12 @@ def select_subset(
         raise ValueError(f"target must be >= 0, got {target!r}")
     if not (isinstance(scale, int) and scale >= 1):
         raise ValueError(f"scale must be a positive integer, got {scale!r}")
-    if n == 0:
-        return SubsetSelection((), float(abs(target)))
 
     weights = [round_half_away(p * scale) for p in pts]
     goal = round_half_away(target * scale)
+    # Every subset sum is a multiple of g, so sums are kept in units of g.
+    g = math.gcd(*weights) or 1
+    weights = [w // g for w in weights]
 
     # rows[i][k]: bit s is set when some k-subset of points[i:] sums to s.
     # Only k in [n - i, m - i] is ever read: the first i points supply at
@@ -229,16 +225,18 @@ def select_subset(
 
     # The nearest reachable sums at or below the goal and at or above it;
     # some n-subset always exists, so at least one of the two is found.
+    # The mask is no wider than reach, however far above it the goal is.
     reach = rows[0][n]
-    below = reach & ((1 << (goal + 1)) - 1)
-    above = reach >> goal
+    floor_goal, ceil_goal = goal // g, -(-goal // g)
+    below = reach & ((1 << min(floor_goal + 1, reach.bit_length())) - 1)
+    above = reach >> ceil_goal
     nearest = []
     if below:
         nearest.append(below.bit_length() - 1)
     if above:
-        nearest.append(goal + (above & -above).bit_length() - 1)
-    best = min(abs(s - goal) for s in nearest)
-    candidates = {s for s in nearest if abs(s - goal) == best}
+        nearest.append(ceil_goal + (above & -above).bit_length() - 1)
+    best = min(abs(s * g - goal) for s in nearest)
+    candidates = {s for s in nearest if abs(s * g - goal) == best}
 
     # Greedy reconstruction: taking the earliest completable index at each
     # step yields the lexicographically smallest optimal index set.

@@ -83,7 +83,7 @@ def test_planner_achieves_exact_subsets_on_reference_data():
     picked = select_subset(phase1, n, 99.0)
     assert picked.deviation == 0.0
 
-    suggestion = ChangeSuggestion((-99, 30, 69), corrected=True)
+    suggestion = ChangeSuggestion((-99, 30, 69))
     vector = determine(snapshot, suggestion)
     assert len(vector.entries) == 20
     powers = [e.power for e in vector.entries]
@@ -126,7 +126,7 @@ def test_balancing_conserves_total_load_on_500_random_feeders():
         phases = [
             [rng.randint(1, 9) for _ in range(rng.randint(3, 20))] for _ in range(3)
         ]
-        snap = FeederSnapshot.from_lists(phases)
+        snap = FeederSnapshot(phases)
         before = system_total(snap)
         report = balance(snap)
         assert system_total(report.final_snapshot) == before

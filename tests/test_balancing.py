@@ -19,7 +19,7 @@ from phasebal.planner import BalancePlan, Move
 
 
 def snap(*phases):
-    return FeederSnapshot.from_lists(list(phases))
+    return FeederSnapshot(list(phases))
 
 
 class TestErrorCorrect:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import phasebal
 from phasebal.cli import main
 from phasebal.fuzzy import reference_controller_text
 from phasebal.io import reference_feeder_text, write_feeder_csv
-from phasebal.model import FeederSnapshot
+from phasebal.model import FeederSnapshot, format_number
 
 
 @pytest.fixture()
@@ -90,7 +91,7 @@ class TestBalanceCommand:
         ctrl_path.write_text(zero_release_controller_text)
         feeder_path = tmp_path / "feeder.csv"
         with open(feeder_path, "w", encoding="utf-8") as fh:
-            write_feeder_csv(FeederSnapshot.from_lists(zero_release_feeder_rows), fh)
+            write_feeder_csv(FeederSnapshot(zero_release_feeder_rows), fh)
         code = main(["balance", "--input", str(feeder_path), "--controller", str(ctrl_path)])
         captured = capsys.readouterr()
         assert code == 2
@@ -213,6 +214,77 @@ class TestOverflowingFeeder:
         assert captured.out == ""
 
 
+class TestLoaderMessages:
+    """The feeder and the controller file go through one loader; each
+    message names the file's kind, and the format errors its path."""
+
+    @pytest.fixture()
+    def argv(self, feeder_file):
+        return {
+            "feeder": lambda path: ["balance", "--input", path],
+            "controller": lambda path: ["balance", "--input", feeder_file, "--controller", path],
+        }
+
+    @pytest.mark.parametrize("kind", ["feeder", "controller"])
+    def test_missing_file(self, argv, tmp_path, capsys, kind):
+        path = str(tmp_path / "missing")
+        code = main(argv[kind](path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"phasebal: error: cannot read {kind} file: "
+            f"[Errno 2] No such file or directory: {path!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("feeder", "a,b\n1,2\n", "line 1: expected header 'phase1,phase2,phase3', got 'a,b'"),
+            ("controller", "bogus\n", "line 1: unknown statement 'bogus'"),
+        ],
+    )
+    def test_format_error(self, argv, tmp_path, capsys, kind, text, message):
+        path = tmp_path / "file.txt"
+        path.write_text(text)
+        code = main(argv[kind](str(path)))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"phasebal: error: {kind} file {path}: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["feeder", "controller"])
+    def test_file_that_is_not_utf8(self, argv, tmp_path, capsys, kind):
+        path = tmp_path / "file.txt"
+        path.write_bytes(b"phase1,phase2,phase3\n\xff\xfe,1,1\n")
+        code = main(argv[kind](str(path)))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"phasebal: error: {kind} file {path}: 'utf-8' codec can't decode"
+        )
+
+
+class TestControllerResolution:
+    @pytest.mark.parametrize("samples", ["1", "0", "-5"])
+    def test_fewer_than_two_samples_exit_1(self, feeder_file, tmp_path, capsys, samples):
+        path = tmp_path / "ctrl.txt"
+        path.write_text(reference_controller_text() + f"resolution {samples}\n")
+        code = main(["balance", "--input", feeder_file, "--controller", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"integration resolution must be >= 2, got {samples}" in captured.err
+
+    def test_coarse_grid_that_holds_every_term_balances(self, feeder_file, tmp_path, capsys):
+        path = tmp_path / "ctrl.txt"
+        path.write_text(reference_controller_text() + "resolution 101\n")
+        code = main(["balance", "--input", feeder_file, "--controller", str(path)])
+        assert code == 0
+        assert "status: balanced" in capsys.readouterr().out
+
+
 class TestSurfaceCommand:
     def test_stdout_table(self, capsys):
         code = main(["surface"])
@@ -294,3 +366,66 @@ class TestColdStart:
         proc = self._run(["-m", "phasebal", "balance", "--input", feeder_file])
         assert proc.returncode == 0, proc.stderr
         assert "final totals: 146 / 150 / 151 kW" in proc.stdout.splitlines()
+
+
+def _times_a_million(text):
+    """Every number in a feeder or controller text, multiplied by 1e6."""
+    return re.sub(
+        r"(?<![\w.])-?\d+(?:\.\d+)?(?![\w.])",
+        lambda m: format_number(float(m.group()) * 1e6),
+        text,
+    )
+
+
+# Output terms that ask for changes of up to 1e15 kW from a feeder of a
+# few hundred kW: the subset goal lies far above every reachable sum.
+HUGE_OUTPUT_CONTROLLER = """\
+input Load 0 300
+term L 0 0 300
+term H 0 300 300
+output Change -1e15 1e15
+term D -1e15 -1e15 0
+term U 0 1e15 1e15
+rule L -> U
+rule H -> D
+"""
+
+
+@pytest.mark.parametrize(
+    "feeder_text, controller_text",
+    [
+        # Rated in watts: the planner divides the lattice by its gcd, so
+        # the bitsets stay as small as for the kW original.
+        (_times_a_million(reference_feeder_text()), _times_a_million(reference_controller_text())),
+        ("phase1,phase2,phase3\n200,1,1\n50,,\n", HUGE_OUTPUT_CONTROLLER),
+    ],
+    ids=["scaled-by-1e6", "goal-above-every-sum"],
+)
+def test_large_numbers_end_in_a_status_within_3_gb(tmp_path, feeder_text, controller_text):
+    """No subset-solver bitset grows with the size of the numbers alone:
+    the run fits in 3 GB of address space and ends in a status, not a
+    MemoryError."""
+    resource = pytest.importorskip("resource")
+    limit = 3_000_000 * 1024
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    feeder = tmp_path / "feeder.csv"
+    feeder.write_text(feeder_text)
+    ctrl = tmp_path / "ctrl.txt"
+    ctrl.write_text(controller_text)
+    src = str(Path(phasebal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "phasebal", "balance", "--input", str(feeder), "--controller", str(ctrl)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("status: ")

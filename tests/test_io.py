@@ -9,6 +9,7 @@ from phasebal.fuzzy import (
     default_controller,
     infer_change,
     parse_controller,
+    reference_controller_text,
     write_controller,
 )
 from phasebal.io import (
@@ -90,7 +91,7 @@ class TestFeederRoundTrip:
         assert out.getvalue() == text
 
     def test_ragged_phases_pad_with_blanks(self):
-        snap = FeederSnapshot.from_lists([[1, 2, 3], [4], []])
+        snap = FeederSnapshot([[1, 2, 3], [4], []])
         out = io.StringIO()
         write_feeder_csv(snap, out)
         lines = out.getvalue().splitlines()
@@ -131,6 +132,11 @@ class TestControllerFormat:
             "rule low -> up\nresolution 2001\n"
         )
         assert parse_controller(text).integration_resolution == 2001
+
+    @pytest.mark.parametrize("samples", [5, 3, 2])
+    def test_grid_too_coarse_for_the_default_terms_is_refused(self, samples):
+        with pytest.raises(ControllerFormatError, match=f"term HS holds no sample of the {samples}-point grid"):
+            parse_controller(reference_controller_text() + f"resolution {samples}\n")
 
     def test_unknown_statement(self):
         with pytest.raises(ControllerFormatError, match="line 1"):
@@ -213,7 +219,7 @@ class TestReport:
         assert received == {2: 30, 3: 69}
 
     def test_infeasible_report_carries_reason(self):
-        feeder = FeederSnapshot.from_lists(
+        feeder = FeederSnapshot(
             [[50, 50, 50, 50, 45], [60, 60], [42, 40]]
         )
         report = balance(feeder)

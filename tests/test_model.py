@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 
 import pytest
 
@@ -43,7 +44,7 @@ class TestRounding:
 
 class TestFeederSnapshot:
     def test_normalizes_to_float_tuples(self):
-        snap = FeederSnapshot.from_lists([[1, 2], [3], [4, 5, 6]])
+        snap = FeederSnapshot([[1, 2], [3], [4, 5, 6]])
         assert snap.phases[0] == (1.0, 2.0)
         assert all(isinstance(p, float) for ph in snap.phases for p in ph)
 
@@ -53,24 +54,36 @@ class TestFeederSnapshot:
 
     def test_rejects_negative_point(self):
         with pytest.raises(ValueError):
-            FeederSnapshot.from_lists([[1, -2], [3], [4]])
+            FeederSnapshot([[1, -2], [3], [4]])
 
     def test_rejects_non_finite_point(self):
         with pytest.raises(ValueError):
-            FeederSnapshot.from_lists([[float("nan")], [3], [4]])
+            FeederSnapshot([[float("nan")], [3], [4]])
 
     def test_empty_phase_is_allowed(self):
-        snap = FeederSnapshot.from_lists([[], [3], [4]])
+        snap = FeederSnapshot([[], [3], [4]])
         assert phase_totals(snap) == (0.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("phases", [[[1e308], [1e308], []], [[1e308, 1e308], [], []], [[9e307], [], []]])
+    def test_rejects_a_total_whose_double_overflows(self, phases):
+        # Any phase total and any unbalance stays finite when twice the
+        # system total does; 9e307 * 2 is already past the largest float.
+        with pytest.raises(ValueError, match="total load exceeds"):
+            FeederSnapshot(phases)
+
+    def test_accepts_the_largest_total_that_doubles_finitely(self):
+        half = sys.float_info.max / 2
+        snap = FeederSnapshot([[half / 2], [half / 2], []])
+        assert avg_unbalance(phase_totals(snap)) == half / 3
 
 
 class TestMetrics:
     def test_phase_totals(self):
-        snap = FeederSnapshot.from_lists([[1, 2, 3], [10], [0.5, 0.5]])
+        snap = FeederSnapshot([[1, 2, 3], [10], [0.5, 0.5]])
         assert phase_totals(snap) == (6.0, 10.0, 1.0)
 
     def test_system_total_matches_sum_of_phase_totals(self):
-        snap = FeederSnapshot.from_lists([[1.1, 2.2], [3.3], [4.4]])
+        snap = FeederSnapshot([[1.1, 2.2], [3.3], [4.4]])
         assert system_total(snap) == pytest.approx(11.0)
 
     def test_avg_unbalance_balanced_is_zero(self):
@@ -91,7 +104,7 @@ class TestMetrics:
         assert avg_unbalance(t) == pytest.approx(expected)
 
     def test_system_total_is_exact_for_integer_loads(self):
-        snap = FeederSnapshot.from_lists([[7] * 13, [11] * 5, [3] * 9])
+        snap = FeederSnapshot([[7] * 13, [11] * 5, [3] * 9])
         assert system_total(snap) == 7 * 13 + 11 * 5 + 3 * 9
         assert math.fsum(phase_totals(snap)) == system_total(snap)
 
@@ -112,7 +125,7 @@ def test_only_types_built_from_outside_input_validate():
 
 
 def _other_feeder_report():
-    return balance(FeederSnapshot.from_lists([[100, 60, 40], [30], [20]]))
+    return balance(FeederSnapshot([[100, 60, 40], [30], [20]]))
 
 
 # Per public value type: a factory, a factory for an unequal value, and a field.
@@ -133,13 +146,13 @@ VALUE_TYPES = {
         "rules",
     ),
     "FeederSnapshot": (
-        lambda: FeederSnapshot.from_lists([[1, 2], [3], []]),
-        lambda: FeederSnapshot.from_lists([[1, 2], [3], [4]]),
+        lambda: FeederSnapshot([[1, 2], [3], []]),
+        lambda: FeederSnapshot([[1, 2], [3], [4]]),
         "phases",
     ),
     "ChangeSuggestion": (
-        lambda: ChangeSuggestion((-3, 1, 2), corrected=True),
-        lambda: ChangeSuggestion((-3, 2, 1), corrected=True),
+        lambda: ChangeSuggestion((-3, 1, 2)),
+        lambda: ChangeSuggestion((-3, 2, 1)),
         "delta",
     ),
     "ChangeEntry": (lambda: ChangeEntry(0, 1, 2.5), lambda: ChangeEntry(0, 2, 2.5), "power"),

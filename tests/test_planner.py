@@ -21,31 +21,28 @@ from .oracles import brute_force_subset
 
 
 def snap(*phases):
-    return FeederSnapshot.from_lists(list(phases))
+    return FeederSnapshot(list(phases))
 
 
 class TestChangeSuggestion:
     def test_corrected_must_sum_to_zero(self):
         with pytest.raises(ValueError):
-            ChangeSuggestion((1, 2, 3), corrected=True)
+            ChangeSuggestion((1, 2, 3))
 
     def test_releasing_and_receiving_partition(self):
-        s = ChangeSuggestion((-99, 30, 69), corrected=True)
+        s = ChangeSuggestion((-99, 30, 69))
         assert s.releasing == (0,)
         assert s.receiving == (1, 2)
 
-    def test_raw_vector_needs_no_zero_sum(self):
-        ChangeSuggestion((5, 5, 5))  # does not raise
-
     def test_two_releasing_one_receiving_is_valid(self):
-        s = ChangeSuggestion((-1, -1, 2), corrected=True)
+        s = ChangeSuggestion((-1, -1, 2))
         assert s.releasing == (0, 1)
         assert s.receiving == (2,)
 
 
 class TestFeasibility:
     def test_reference_case_is_feasible(self, reference_feeder):
-        s = ChangeSuggestion((-99, 30, 69), corrected=True)
+        s = ChangeSuggestion((-99, 30, 69))
         assert feasibility_check(reference_feeder, s) is None
 
     def test_all_zero_is_a_noop(self):
@@ -55,31 +52,31 @@ class TestFeasibility:
 
     def test_change_below_smallest_point_is_infeasible(self):
         # phase 1 must shed 3 kW but its smallest point is 5 kW
-        s = ChangeSuggestion((-3, 3, 0), corrected=True)
+        s = ChangeSuggestion((-3, 3, 0))
         reason = feasibility_check(snap([5, 7], [2], [2]), s)
         assert reason is not None and "phase 1" in reason
 
     def test_change_equal_to_smallest_point_is_infeasible(self):
-        s = ChangeSuggestion((-5, 5, 0), corrected=True)
+        s = ChangeSuggestion((-5, 5, 0))
         reason = feasibility_check(snap([5, 7], [2], [2]), s)
         assert reason is not None
 
     def test_zero_change_phase_is_exempt(self):
-        s = ChangeSuggestion((-6, 6, 0), corrected=True)
+        s = ChangeSuggestion((-6, 6, 0))
         assert feasibility_check(snap([5, 7], [2], [100]), s) is None
 
     def test_releasing_phase_with_no_points(self):
-        s = ChangeSuggestion((-6, 6, 0), corrected=True)
+        s = ChangeSuggestion((-6, 6, 0))
         reason = feasibility_check(snap([], [2], [2]), s)
         assert reason is not None and "phase 1" in reason
 
     def test_releasing_phase_with_only_zero_points(self):
-        s = ChangeSuggestion((-6, 6, 0), corrected=True)
+        s = ChangeSuggestion((-6, 6, 0))
         reason = feasibility_check(snap([0, 0], [2], [2]), s)
         assert reason is not None and "phase 1" in reason
 
     def test_receiving_phase_with_only_zero_points_is_feasible(self):
-        s = ChangeSuggestion((-6, 6, 0), corrected=True)
+        s = ChangeSuggestion((-6, 6, 0))
         assert feasibility_check(snap([3, 4], [0, 0], [2]), s) is None
 
 
@@ -134,6 +131,12 @@ class TestSelectSubset:
         assert sel.indices == ()
         assert sel.deviation == 5.0
 
+    @pytest.mark.parametrize("n, want", [(0, ()), (1, (2,)), (3, (0, 1, 2))])
+    def test_target_far_above_every_sum(self, n, want):
+        sel = select_subset([1, 2, 3], n, 1e300)
+        assert sel.indices == want
+        assert sel.deviation == 1e300
+
     def test_scale_resolves_fractions(self):
         # with scale 10 the lattice is 0.1 kW, so 1.5 + 2.5 hits 4 exactly
         sel = select_subset([1.5, 2.5, 3.0], 2, 4.0, scale=10)
@@ -148,6 +151,16 @@ class TestSelectSubset:
         with pytest.raises(ValueError):
             select_subset([1, 2], 1, -1)
 
+    def test_common_factor_with_goals_off_its_lattice(self):
+        # Every weight is a multiple of 6. Targets 3 and 21 lie halfway
+        # between two reachable sums, 23 and 200 off the lattice.
+        points = [12, 30, 6, 18, 24, 6, 42]
+        for n in range(len(points) + 1):
+            for target in (0, 3, 5, 21, 23, 27, 45, 200):
+                got = select_subset(points, n, target)
+                want_idx, want_dev = brute_force_subset(points, n, target)
+                assert (got.indices, got.deviation) == (want_idx, want_dev), (n, target)
+
     def test_agrees_with_brute_force_on_a_hard_instance(self):
         points = [7, 13, 2, 2, 9, 4, 11, 6, 3, 5]
         got = select_subset(points, 4, 23)
@@ -158,7 +171,7 @@ class TestSelectSubset:
 
 class TestDetermine:
     def test_reference_release(self, reference_feeder):
-        s = ChangeSuggestion((-99, 30, 69), corrected=True)
+        s = ChangeSuggestion((-99, 30, 69))
         vec = determine(reference_feeder, s)
         assert len(vec.entries) == 20
         assert vec.total() == 99.0
@@ -166,12 +179,12 @@ class TestDetermine:
         assert all(e.source_phase == 0 for e in vec.entries)
 
     def test_zero_power_points_never_selected(self):
-        s = ChangeSuggestion((-4, 4, 0), corrected=True)
+        s = ChangeSuggestion((-4, 4, 0))
         vec = determine(snap([0, 3, 2, 0], [1], [1]), s)
         assert all(e.power > 0 for e in vec.entries)
 
     def test_two_releasing_phases(self):
-        s = ChangeSuggestion((-4, -3, 7), corrected=True)
+        s = ChangeSuggestion((-4, -3, 7))
         vec = determine(snap([1, 3, 2], [1, 2], [5]), s)
         phases = {e.source_phase for e in vec.entries}
         assert phases == {0, 1}
@@ -179,14 +192,14 @@ class TestDetermine:
 
 class TestDistribute:
     def test_single_receiver_takes_everything(self):
-        s = ChangeSuggestion((-5, 5, 0), corrected=True)
+        s = ChangeSuggestion((-5, 5, 0))
         vec = ChangeVector((ChangeEntry(0, 1, 3.0), ChangeEntry(0, 2, 2.0)))
         plan = distribute(vec, s)
         assert all(m.dest_phase == 1 for m in plan.moves)
         assert plan.received_per_phase == (0.0, 5.0, 0.0)
 
     def test_two_receivers_split_by_target(self, reference_feeder):
-        s = ChangeSuggestion((-99, 30, 69), corrected=True)
+        s = ChangeSuggestion((-99, 30, 69))
         vec = determine(reference_feeder, s)
         plan = distribute(vec, s)
         assert plan.received_per_phase[1] == 30.0
@@ -195,7 +208,7 @@ class TestDistribute:
 
     def test_release_and_receive_always_tally(self):
         # even when the first receiver's subset cannot hit its target
-        s = ChangeSuggestion((-7, 3, 4), corrected=True)
+        s = ChangeSuggestion((-7, 3, 4))
         vec = ChangeVector((ChangeEntry(0, 0, 5.0), ChangeEntry(0, 1, 2.0)))
         plan = distribute(vec, s)
         assert sum(plan.released_per_phase) == sum(plan.received_per_phase)
@@ -206,7 +219,7 @@ class TestDistribute:
             distribute(ChangeVector(()), s)
 
     def test_fractional_powers_tally_exactly(self):
-        s = ChangeSuggestion((-3, 1, 2), corrected=True)
+        s = ChangeSuggestion((-3, 1, 2))
         vec = ChangeVector(
             (ChangeEntry(0, 0, 1.3), ChangeEntry(0, 1, 0.9), ChangeEntry(0, 2, 0.8))
         )
@@ -228,7 +241,7 @@ class TestPlanInvariants:
             apply_plan(snap([5], [1], [1]), plan)
 
     def test_duplicate_change_entries_rejected(self):
-        s = ChangeSuggestion((-4, 4, 0), corrected=True)
+        s = ChangeSuggestion((-4, 4, 0))
         vec = ChangeVector((ChangeEntry(0, 1, 2.0), ChangeEntry(0, 1, 2.0)))
         plan = distribute(vec, s)
         with pytest.raises(ValueError, match="moved twice"):

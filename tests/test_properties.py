@@ -25,10 +25,11 @@ from phasebal.fuzzy import (
     infer_change,
     membership_at,
     parse_controller,
+    reference_controller_text,
     suggest_changes,
     write_controller,
 )
-from phasebal.io import FeederFormatError, parse_feeder_csv, write_feeder_csv, write_report
+from phasebal.io import parse_feeder_csv, write_feeder_csv, write_report
 from phasebal.model import FeederSnapshot, avg_unbalance, round_half_away, system_total
 from phasebal.planner import points_to_move, select_subset
 
@@ -124,7 +125,7 @@ def snapshots(draw):
     phases = [
         draw(st.lists(st.integers(0, 9), min_size=1, max_size=8)) for _ in range(3)
     ]
-    return FeederSnapshot.from_lists(phases)
+    return FeederSnapshot(phases)
 
 
 @st.composite
@@ -208,6 +209,18 @@ class TestSubsetOracle:
         assert got.indices == want_idx
         assert got.deviation == abs(sum(points[i] for i in want_idx) - target)
 
+    @given(subset_instances(), st.integers(2, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_with_a_common_factor(self, instance, factor, data):
+        """Weights that share a factor, against goals on and off their lattice."""
+        points, n, target = instance
+        points = [p * factor for p in points]
+        target = target * factor + data.draw(st.integers(0, factor - 1))
+        got = select_subset(points, n, target)
+        want_idx, want_dev = brute_force_subset(points, n, target)
+        assert got.deviation == want_dev
+        assert got.indices == want_idx
+
     @given(subset_instances())
     @settings(max_examples=100, deadline=None)
     def test_cardinality_and_deviation_consistency(self, instance):
@@ -260,6 +273,22 @@ class TestSampledCentroid:
             assert round_half_away(fast) == round_half_away(slow), load
         assert multi_rule > 2000
 
+    def test_coarse_grid_sweep_rounds_identically(self):
+        """The default terms on a coarse, 101-sample grid: the piecewise sum
+        still equals the sample-by-sample one."""
+        controller = parse_controller(reference_controller_text() + "resolution 101\n")
+        multi_rule = 0
+        for k in range(12001):
+            load = k / 40
+            if len(fired_consequents(controller, load)) < 2:
+                continue
+            multi_rule += 1
+            fast = infer_change(controller, load)
+            slow = sampled_grid_centroid(controller, load)
+            assert abs(fast - slow) <= 1e-9, load
+            assert round_half_away(fast) == round_half_away(slow), load
+        assert multi_rule > 4000
+
 
 class TestControllerFormatProperties:
     @given(multi_rule_cases())
@@ -284,19 +313,19 @@ class TestFeederFormatProperties:
         ).filter(any)
     )
     def test_write_then_parse_round_trips(self, phases):
-        snap = FeederSnapshot.from_lists(phases)
-        out = io.StringIO()
-        write_feeder_csv(snap, out)
-        # The parser refuses a feeder whose doubled total load overflows.
+        # The constructor refuses a feeder whose doubled total load overflows.
         try:
-            fits = math.isfinite(2 * system_total(snap))
+            fits = math.isfinite(2 * math.fsum(p for ph in phases for p in ph))
         except OverflowError:
             fits = False
-        if fits:
-            assert parse_feeder_csv(out.getvalue()) == snap
-        else:
-            with pytest.raises(FeederFormatError, match="total load exceeds"):
-                parse_feeder_csv(out.getvalue())
+        if not fits:
+            with pytest.raises(ValueError, match="total load exceeds"):
+                FeederSnapshot(phases)
+            return
+        snap = FeederSnapshot(phases)
+        out = io.StringIO()
+        write_feeder_csv(snap, out)
+        assert parse_feeder_csv(out.getvalue()) == snap
 
 
 class TestCorrectionProperties:
@@ -359,6 +388,27 @@ class TestPipelineProperties:
             assert rec.unbalance_after >= 0.0
 
 
+class TestSnapshotProperties:
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=0) | st.sampled_from([1e308, sys.float_info.max]), max_size=6),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_snapshot_ends_in_a_status(self, phases):
+        """The constructor owns the value rule: whatever it accepts, however
+        large, balance() ends in a documented status."""
+        try:
+            snap = FeederSnapshot(phases)
+        except ValueError:
+            return
+        report = balance(snap)
+        assert report.status in STATUSES
+        assert system_total(report.final_snapshot) == system_total(snap)
+
+
 class TestSuggestionProperties:
     @given(
         st.tuples(st.floats(0, 300), st.floats(0, 300), st.floats(0, 300))
@@ -377,7 +427,7 @@ class TestPipelineOracle:
     @staticmethod
     def check(phases, scale, controller, threshold=10.0):
         cfg = BalancerConfig(threshold, 10, controller, scale)
-        got = json.loads(write_report(balance(FeederSnapshot.from_lists(phases), cfg)))
+        got = json.loads(write_report(balance(FeederSnapshot(phases), cfg)))
         assert got == reference_balance(phases, controller, threshold, 10, scale)
 
     @given(oracle_feeders(), st.sampled_from([10.0, 3.0, 0.5]))
