@@ -24,7 +24,7 @@ import math
 from functools import cache
 from importlib import resources
 from itertools import combinations
-from typing import TextIO
+from typing import Sequence, TextIO
 
 from .model import Frozen, PhaseTotals, format_number, round_half_away
 
@@ -163,9 +163,9 @@ class FuzzyController(Frozen):
     consequents is defuzzified: at least 2, the two ends of the universe.
     The sum over those samples is computed piece by piece, so a larger
     resolution costs no time. Every output term must hold a sample with
-    membership above 0, so that such an aggregate never sums to 0; that
-    check, not the floor of 2, is what refuses a grid too coarse for the
-    terms.
+    membership above 0, so that such an aggregate never sums to 0. The
+    check takes that very sum, of each term alone at full strength; it,
+    not the floor of 2, is what refuses a grid too coarse for the terms.
     """
 
     # _rule_terms: each rule's (antecedent, consequent) terms, resolved
@@ -191,33 +191,14 @@ class FuzzyController(Frozen):
             raise ValueError(
                 f"integration resolution must be >= 2, got {integration_resolution}"
             )
-        lo, hi = output.universe
-        last = integration_resolution - 1
-        step = (hi - lo) / last
         for mf in output.terms:
-            # Membership is above 0 only inside (left, right) or on a
-            # shoulder's edge, so the two samples around left decide.
-            j = _first_above(mf.left, lo, step)
-            if not any(
-                membership_at(mf, hi if i == last else i * step + lo) > 0.0
-                for i in (j - 1, j)
-                if 0 <= i <= last
-            ):
+            if not _grid_sums(((mf, 1.0),), output.universe, integration_resolution)[0] > 0.0:
+                lo, hi = output.universe
                 raise ValueError(
                     f"variable {output.name}: term {mf.label} holds no sample of "
                     f"the {integration_resolution}-point grid over [{lo}, {hi}]"
                 )
         self._assign(input, output, rules, integration_resolution, rule_terms)
-
-
-def _first_above(c: float, lo: float, step: float) -> int:
-    """Smallest j with j * step + lo > c."""
-    j = max(0, math.floor((c - lo) / step))
-    while j * step + lo <= c:
-        j += 1
-    while j > 0 and (j - 1) * step + lo > c:
-        j -= 1
-    return j
 
 
 def _clipped_centroid(mf: TriangularMF, strength: float) -> float:
@@ -241,22 +222,23 @@ def _clipped_centroid(mf: TriangularMF, strength: float) -> float:
     return sum(a * c for a, c in pieces) / area
 
 
-def _sampled_centroid(
-    clipped: list[tuple[TriangularMF, float]],
+def _grid_sums(
+    clipped: Sequence[tuple[TriangularMF, float]],
     universe: tuple[float, float],
     samples: int,
-) -> float:
-    """Centroid of the max-aggregate of clipped consequents on a sample grid.
+) -> tuple[float, float]:
+    """Sums of the max-aggregate of clipped consequents over a sample grid.
 
-    Returns sum(x * agg(x)) / sum(agg(x)) over the grid x_j = j * step + lo
-    whose last point is set to hi exactly, the usual linspace grid. The
-    aggregate is linear between cuts: the knots of each clipped consequent
-    (left, the clip points p and q, right) and the points where pieces of
-    two consequents cross. The samples strictly inside a stretch between
-    cuts are summed in closed form from the line through its first and
-    last sample; samples on a cut, the last point, and stretches of two
-    samples or fewer are evaluated one by one. The cost depends on the
-    number of fired consequents, not on the sample count.
+    Returns (sum(agg(x)), sum(x * agg(x))) over the grid x_j = j * step + lo
+    whose last point is set to hi exactly, the usual linspace grid; the
+    sampled centroid is their quotient. The aggregate is linear between
+    cuts: the knots of each clipped consequent (left, the clip points p
+    and q, right) and the points where pieces of two consequents cross.
+    The samples strictly inside a stretch between cuts are summed in
+    closed form from the line through its first and last sample; samples
+    on a cut, the last point, and stretches of two samples or fewer are
+    evaluated one by one. The cost depends on the number of fired
+    consequents, not on the sample count.
     """
     lo, hi = universe
     last = samples - 1
@@ -264,6 +246,15 @@ def _sampled_centroid(
 
     def agg(x: float) -> float:
         return max(min(w, membership_at(mf, x)) for mf, w in clipped)
+
+    def first_above(c: float) -> int:
+        """Smallest j with j * step + lo > c."""
+        j = max(0, math.floor((c - lo) / step))
+        while j * step + lo <= c:
+            j += 1
+        while j > 0 and (j - 1) * step + lo > c:
+            j -= 1
+        return j
 
     cuts = {lo, hi}
     segments = []  # (consequent, x0, y0, x1, y1): the linear pieces of each clipped set
@@ -295,7 +286,7 @@ def _sampled_centroid(
     s0, s1 = g, hi * g
     direct = []  # indices of the samples evaluated one by one
     ordered = sorted(cuts)
-    above = [_first_above(c, lo, step) for c in ordered]
+    above = [first_above(c) for c in ordered]
     for a, j0, b, jb in zip(ordered, above, ordered[1:], above[1:]):
         if 0 < j0 <= last and (j0 - 1) * step + lo == a:
             direct.append(j0 - 1)
@@ -320,7 +311,7 @@ def _sampled_centroid(
         g = agg(x)
         s0 += g
         s1 += x * g
-    return s1 / s0
+    return s0, s1
 
 
 def infer_change(ctrl: FuzzyController, load: float) -> float:
@@ -367,9 +358,8 @@ def infer_change(ctrl: FuzzyController, load: float) -> float:
         (mf, w), = clipped.values()
         return _clipped_centroid(mf, w)
 
-    return _sampled_centroid(
-        list(clipped.values()), ctrl.output.universe, ctrl.integration_resolution
-    )
+    s0, s1 = _grid_sums(list(clipped.values()), ctrl.output.universe, ctrl.integration_resolution)
+    return s1 / s0
 
 
 def suggest_changes(ctrl: FuzzyController, totals: PhaseTotals) -> tuple[int, int, int]:
@@ -425,10 +415,9 @@ def parse_controller(text: str) -> FuzzyController:
         rule <input-term> -> <output-term>
         resolution <samples>                   (optional)
     """
-    input_decl: tuple[str, float, float] | None = None
-    output_decl: tuple[str, float, float] | None = None
-    input_terms: list[TriangularMF] = []
-    output_terms: list[TriangularMF] = []
+    # Per variable kind: its (name, universe) declaration and its terms.
+    decls: dict[str, tuple[str, tuple[float, float]]] = {}
+    terms: dict[str, list[TriangularMF]] = {"input": [], "output": []}
     current: list[TriangularMF] | None = None
     rules: list[tuple[str, str]] = []
     resolution = DEFAULT_RESOLUTION
@@ -452,21 +441,14 @@ def parse_controller(text: str) -> FuzzyController:
         parts = line.split()
         keyword = parts[0].lower()
 
-        if keyword in ("input", "output"):
+        if keyword in terms:
             if len(parts) != 4:
                 raise fail(lineno, f"{keyword} takes a name and two bounds")
             lo, hi = floats(lineno, parts[2:])
-            decl = (parts[1], lo, hi)
-            if keyword == "input":
-                if input_decl is not None:
-                    raise fail(lineno, "duplicate input declaration")
-                input_decl = decl
-                current = input_terms
-            else:
-                if output_decl is not None:
-                    raise fail(lineno, "duplicate output declaration")
-                output_decl = decl
-                current = output_terms
+            if keyword in decls:
+                raise fail(lineno, f"duplicate {keyword} declaration")
+            decls[keyword] = (parts[1], (lo, hi))
+            current = terms[keyword]
         elif keyword == "term":
             if current is None:
                 raise fail(lineno, "term before any input/output declaration")
@@ -491,19 +473,13 @@ def parse_controller(text: str) -> FuzzyController:
         else:
             raise fail(lineno, f"unknown statement {parts[0]!r}")
 
-    if input_decl is None:
-        raise ControllerFormatError("missing input declaration")
-    if output_decl is None:
-        raise ControllerFormatError("missing output declaration")
+    for kind in terms:
+        if kind not in decls:
+            raise ControllerFormatError(f"missing {kind} declaration")
     if not rules:
         raise ControllerFormatError("controller defines no rules")
     try:
-        input_var = LinguisticVariable(
-            input_decl[0], (input_decl[1], input_decl[2]), tuple(input_terms)
-        )
-        output_var = LinguisticVariable(
-            output_decl[0], (output_decl[1], output_decl[2]), tuple(output_terms)
-        )
+        input_var, output_var = (LinguisticVariable(*decls[k], tuple(terms[k])) for k in terms)
         return FuzzyController(input_var, output_var, tuple(rules), resolution)
     except (ValueError, KeyError) as exc:
         raise ControllerFormatError(str(exc)) from None

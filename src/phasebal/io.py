@@ -3,9 +3,9 @@
 The feeder CSV is column-per-phase with a fixed three-column header; rows
 are positional load points and blank cells mean the phase has no point in
 that row (phases rarely have equal point counts). Reports serialize a
-BalanceReport to JSON with 1-based phase numbers and point positions,
-matching how feeder data is usually tabulated. The controller grammar
-lives with the controller types, in fuzzy.py.
+BalanceReport to JSON with 1-based phase numbers and 1-based point
+positions within each phase. The controller grammar lives with the
+controller types, in fuzzy.py.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def write_report(report: BalanceReport) -> str:
     """Serialize a balance run to JSON.
 
     Moves carry 1-based phase numbers ("from"/"to") and the point's
-    1-based row position in the snapshot that iteration started from.
+    1-based position among its phase's points in the snapshot that
+    iteration started from, blank cells skipped.
     """
     doc: dict = {"status": report.status}
     if report.status == INFEASIBLE:

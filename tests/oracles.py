@@ -3,11 +3,12 @@
 These deliberately share no code with the package: the subset oracle
 enumerates combinations outright, the fine-grid centroid oracle
 integrates the aggregated output set numerically on a fine grid with
-membership computed by interpolation, and the sampled-grid oracle sums
-the aggregate sample by sample on the controller's own grid. The
-pipeline oracle writes the balancing loop out pass by pass; it takes
-only the fuzzy inference from the package and picks points with the
-subset oracle. Slow and simple on purpose.
+membership computed by interpolation, and the sampled-grid oracles sum
+the aggregate sample by sample on the controller's own grid and tell
+whether a term holds any point of that grid. The pipeline oracle writes
+the balancing loop out pass by pass; it takes only the fuzzy inference
+from the package and picks points with the subset oracle. Slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def _membership_grid(mf, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def grid_holds_term(mf, universe: tuple[float, float], samples: int) -> bool:
+    """Whether some point of np.linspace(lo, hi, samples) has membership above 0 in mf."""
+    return bool((_membership_grid(mf, np.linspace(*universe, samples)) > 0.0).any())
+
+
 def fired_consequents(controller, load: float) -> dict[str, float]:
     """Firing strength per consequent label (max over its rules), fired ones only."""
     clipped: dict[str, float] = {}
@@ -133,10 +139,6 @@ def _infeasibility(phases, delta) -> str | None:
     """The paper's min-point rule, with the library's wording of each reason."""
     if all(d == 0 for d in delta):
         return "no-op suggestion: all phase changes are zero"
-    if not any(d < 0 for d in delta):
-        return "suggestion only receives load; no phase releases"
-    if not any(d > 0 for d in delta):
-        return "suggestion only releases load; no phase receives"
     for i, d in enumerate(delta):
         if d == 0:
             continue

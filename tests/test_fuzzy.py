@@ -48,6 +48,10 @@ class TestTriangularMF:
         with pytest.raises(ValueError):
             TriangularMF("bad", 4, 4, 4)
 
+    def test_rejects_empty_label(self):
+        with pytest.raises(ValueError, match="^membership function needs a non-empty label$"):
+            TriangularMF("", 0, 5, 10)
+
 
 class TestLinguisticVariable:
     def test_term_lookup(self):
@@ -66,6 +70,14 @@ class TestLinguisticVariable:
             LinguisticVariable(
                 "x", (0, 10), (TriangularMF("a", 0, 0, 3), TriangularMF("b", 5, 10, 10))
             )
+
+    def test_coverage_gap_at_the_top_rejected(self):
+        with pytest.raises(ValueError, match=r"^variable x: coverage gap between 8\.0 and 10\.0$"):
+            LinguisticVariable("x", (0.0, 10.0), (TriangularMF("a", 0.0, 0.0, 8.0),))
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(ValueError, match="^variable x: needs at least one term$"):
+            LinguisticVariable("x", (0.0, 10.0), ())
 
     def test_term_outside_universe_rejected(self):
         with pytest.raises(ValueError):
@@ -99,6 +111,10 @@ class TestDefaultController:
             FuzzyController(
                 controller.input, controller.output, (("nope", "nothing"),)
             )
+
+    def test_no_rules_rejected(self, controller):
+        with pytest.raises(ValueError, match="^controller needs at least one rule$"):
+            FuzzyController(controller.input, controller.output, ())
 
     def test_parsed_once(self):
         assert default_controller() is default_controller()

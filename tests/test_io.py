@@ -1,9 +1,10 @@
 import io
 import json
+import re
 
 import pytest
 
-from phasebal.balancing import balance
+from phasebal.balancing import INFEASIBLE, balance
 from phasebal.fuzzy import (
     ControllerFormatError,
     default_controller,
@@ -155,6 +156,28 @@ class TestControllerFormat:
         with pytest.raises(ControllerFormatError, match="output"):
             parse_controller("input load 0 10\nterm low 0 0 10\nrule low -> low\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("input load 0 10\ninput load 0 20\n", "line 2: duplicate input declaration"),
+            (
+                "output change -5 5\ninput load 0 10\noutput change -5 5\n",
+                "line 3: duplicate output declaration",
+            ),
+            # the bounds are read before the duplicate check
+            ("input load 0 10\ninput load x 10\n", "line 2: 'x' is not a number"),
+            ("resolution 10 01\n", "line 1: resolution takes one integer"),
+            ("output change -5 5\nterm d -5 -5 5\nrule low -> d\n", "missing input declaration"),
+            # input is checked before output, and both before the rules
+            ("", "missing input declaration"),
+            ("input load 0 10\nterm low 0 0 10\n", "missing output declaration"),
+            ("input load 0 10\noutput change -5 5\n", "controller defines no rules"),
+        ],
+    )
+    def test_declaration_errors(self, text, message):
+        with pytest.raises(ControllerFormatError, match=f"^{re.escape(message)}$"):
+            parse_controller(text)
+
     def test_unknown_rule_term_wrapped(self):
         text = (
             "input load 0 10\nterm low 0 0 10\nterm high 0 10 10\n"
@@ -255,3 +278,21 @@ class TestMovesCsv:
         assert len(lines) == 21
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1"
+
+    def test_index_counts_the_phase_points_not_the_csv_rows(self):
+        # The 80 kW point lies on data row 3, but it is phase 2's second
+        # point: the blank cell above it is skipped.
+        report = balance(parse_feeder_csv("phase1,phase2,phase3\n5,,5\n5,90,5\n,80,\n,70,\n"))
+        out = io.StringIO()
+        write_moves_csv(report, out)
+        assert out.getvalue() == "iteration,from,index,to,kw\n1,2,2,3,80\n1,2,3,1,70\n"
+        moves = json.loads(write_report(report))["iterations"][0]["moves"]
+        assert moves[0] == {"from": 2, "index": 2, "to": 3, "kw": 80}
+
+    def test_infeasible_pass_lists_no_moves(self):
+        report = balance(parse_feeder_csv("phase1,phase2,phase3\n90,,5\n80,40,5\n70,,\n"))
+        assert report.status == INFEASIBLE
+        assert len(report.iterations) == 2
+        out = io.StringIO()
+        write_moves_csv(report, out)
+        assert out.getvalue() == "iteration,from,index,to,kw\n1,1,2,3,80\n1,1,3,2,70\n"

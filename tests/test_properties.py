@@ -3,6 +3,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from .oracles import (
     brute_force_subset,
     fine_grid_centroid,
     fired_consequents,
+    grid_holds_term,
     reference_balance,
     sampled_grid_centroid,
 )
@@ -118,6 +120,44 @@ def multi_rule_cases(draw):
     # to serve as the reference: each x * w rounds to a multiple of 2**-1074.
     assume(min(strengths) >= sys.float_info.min)
     return controller, load
+
+
+@st.composite
+def output_grids(draw):
+    """An output variable and a sample count for its grid.
+
+    Besides a full-width left shoulder, which keeps the coverage gap-free,
+    each term is a triangle or a shoulder whose edges lie anywhere, exactly
+    on grid samples, or within one step of each other.
+    """
+    lo = draw(st.sampled_from([-150.0, 0.0]) | st.floats(-300, 300))
+    hi = lo + draw(st.sampled_from([300.0, 1.0]) | st.floats(0.5, 1000))
+    samples = draw(st.integers(2, 300) | st.sampled_from([1000, 10001]))
+    xs = np.linspace(lo, hi, samples)
+    step = (hi - lo) / (samples - 1)
+    terms = [TriangularMF("ALL", lo, lo, hi)]
+    for i in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, samples - 2))
+        edges = draw(st.sampled_from(["anywhere", "on samples", "narrow"]))
+        if edges == "on samples":
+            k = j + draw(st.integers(1, min(2, samples - 1 - j)))
+            left, right = float(xs[j]), float(xs[k])
+        elif edges == "narrow":
+            left = max(lo, min(hi, float(xs[j]) + draw(st.floats(-1, 1)) * step))
+            right = min(hi, left + draw(st.floats(0, 1)) * step)
+        else:
+            left = draw(st.floats(lo, hi))
+            right = min(hi, left + draw(st.floats(0, 3)) * step)
+        assume(left < right)
+        shape = draw(st.sampled_from(["triangle", "left shoulder", "right shoulder"]))
+        if shape == "left shoulder":
+            apex = left
+        elif shape == "right shoulder":
+            apex = right
+        else:
+            apex = draw(st.sampled_from([(left + right) / 2]) | st.floats(left, right))
+        terms.append(TriangularMF(f"T{i}", left, apex, right))
+    return LinguisticVariable("Change", (lo, hi), tuple(terms)), samples
 
 
 @st.composite
@@ -288,6 +328,23 @@ class TestSampledCentroid:
             assert abs(fast - slow) <= 1e-9, load
             assert round_half_away(fast) == round_half_away(slow), load
         assert multi_rule > 4000
+
+
+class TestGridCheck:
+    @given(output_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_the_terms_the_grid_misses(self, case):
+        """The controller accepts an output variable iff every term has
+        membership above 0 at some point of np.linspace over its universe."""
+        output, samples = case
+        missing = [t for t in output.terms if not grid_holds_term(t, output.universe, samples)]
+        load = LinguisticVariable("Load", (0.0, 1.0), (TriangularMF("a", 0.0, 0.0, 1.0),))
+        if missing:
+            message = f"term {missing[0].label} holds no sample of the {samples}-point grid"
+            with pytest.raises(ValueError, match=message):
+                FuzzyController(load, output, (("a", "ALL"),), samples)
+        else:
+            FuzzyController(load, output, (("a", "ALL"),), samples)
 
 
 class TestControllerFormatProperties:
