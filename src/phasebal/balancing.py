@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fuzzy import FuzzyController, default_controller, suggest_changes
+from .fuzzy import FuzzyController, UniverseError, default_controller, suggest_changes
 from .model import NUM_PHASES, FeederSnapshot, Frozen, avg_unbalance, phase_totals, round_half_away
 from .planner import (
     BalancePlan,
@@ -159,16 +159,15 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
 
     Stop conditions, checked in order at the top of each pass: unbalance
     already under threshold (status balanced, or already-balanced when no
-    pass ran); iteration cap reached; any phase total outside the
-    controller's input range (over-capacity). Inside a pass the plan step
-    can declare the suggestion infeasible, which also ends the run. The
-    totals and the unbalance are computed once per snapshot.
+    pass ran); iteration cap reached; a phase total that the controller
+    refuses as outside its input range (over-capacity). Inside a pass the
+    plan step can declare the suggestion infeasible, which also ends the
+    run. The totals and the unbalance are computed once per snapshot.
     """
     cfg = config if config is not None else BalancerConfig()
     current = snapshot
     totals = initial_totals = phase_totals(snapshot)
     unbalance = initial_unbalance = avg_unbalance(totals)
-    lo, hi = cfg.controller.input.universe
     records: list[IterationRecord] = []
 
     while True:
@@ -178,11 +177,11 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
         if len(records) >= cfg.max_iterations:
             status = ITERATION_CAP
             break
-        if any(not lo <= t <= hi for t in totals):
+        try:
+            raw = suggest_changes(cfg.controller, totals)
+        except UniverseError:
             status = OVER_CAPACITY
             break
-
-        raw = suggest_changes(cfg.controller, totals)
         ae, error, corrected = error_correct(raw)
         suggestion = ChangeSuggestion(corrected)
 

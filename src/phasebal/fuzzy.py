@@ -5,10 +5,10 @@ and an output "Change", each partitioned into overlapping triangular
 terms) plus a rule list pairing one input term with one output term.
 Inference clips each rule's consequent at the antecedent firing strength
 (min implication), aggregates the clipped sets by pointwise max, and
-defuzzifies by centroid: in closed form when one consequent fires, and
-otherwise as the exact sum over the controller's uniform sample grid,
-taken piece by piece so that its cost does not depend on the sample
-count.
+defuzzifies by centroid: in closed form when one consequent fires or
+none does, and otherwise as the exact sum over the controller's uniform
+sample grid, taken piece by piece so that its cost does not depend on the
+sample count.
 
 Controllers are read from a small line grammar (parse_controller). The
 built-in controller is the bundled definition data/controller.txt, parsed
@@ -86,23 +86,17 @@ class TriangularMF(Frozen):
             raise ValueError(f"term {label}: zero-width triangle")
         self._assign(label, left, apex, right)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return (self.right - self.apex) == (self.apex - self.left)
-
 
 def membership_at(mf: TriangularMF, x: float) -> float:
-    """Degree of membership of x in mf, in [0, 1]."""
+    """Degree of membership of x in mf, in [0, 1]; 0 for nan."""
     left, apex, right = mf.left, mf.apex, mf.right
-    if x < left or x > right:
+    if not left <= x <= right:
         return 0.0
-    if x == left:
-        return 1.0 if apex == left else 0.0
-    if x == right:
-        return 1.0 if apex == right else 0.0
-    if x <= apex:
+    if x < apex:
         return (x - left) / (apex - left)
-    return (right - x) / (right - apex)
+    if x > apex:
+        return (right - x) / (right - apex)
+    return 1.0
 
 
 class LinguisticVariable(Frozen):
@@ -160,12 +154,13 @@ class FuzzyController(Frozen):
 
     integration_resolution is the number of uniform samples taken over
     the output universe when an aggregate of two or more clipped
-    consequents is defuzzified: at least 2, the two ends of the universe.
-    The sum over those samples is computed piece by piece, so a larger
-    resolution costs no time. Every output term must hold a sample with
-    membership above 0, so that such an aggregate never sums to 0. The
-    check takes that very sum, of each term alone at full strength; it,
-    not the floor of 2, is what refuses a grid too coarse for the terms.
+    consequents is defuzzified: at least 2, the two ends of the universe,
+    and at most what keeps the step at or above the float spacing at the
+    larger bound. The sum over those samples is computed piece by piece,
+    so a larger resolution costs no time. Every output term must hold a
+    sample with membership above 0, so that such an aggregate never sums
+    to 0. The check takes that very sum, of each term alone at full
+    strength; it, not the floor of 2, refuses a grid too coarse for the terms.
     """
 
     # _rule_terms: each rule's (antecedent, consequent) terms, resolved
@@ -186,40 +181,41 @@ class FuzzyController(Frozen):
     ) -> None:
         if not rules:
             raise ValueError("controller needs at least one rule")
-        rule_terms = tuple((input.term(ant), output.term(cons)) for ant, cons in rules)
+        rule_terms = []
+        for ant, cons in rules:
+            try:
+                rule_terms.append((input.term(ant), output.term(cons)))
+            except KeyError as exc:
+                raise ValueError(f"rule {ant} -> {cons}: {exc.args[0]}") from None
         if integration_resolution < 2:
             raise ValueError(
                 f"integration resolution must be >= 2, got {integration_resolution}"
             )
+        lo, hi = output.universe
+        if integration_resolution - 1 > (hi - lo) / math.ulp(max(-lo, hi)):
+            raise ValueError(f"integration resolution {integration_resolution} puts samples "
+                             f"closer than the float spacing over [{lo}, {hi}]")
         for mf in output.terms:
             if not _grid_sums(((mf, 1.0),), output.universe, integration_resolution)[0] > 0.0:
-                lo, hi = output.universe
                 raise ValueError(
                     f"variable {output.name}: term {mf.label} holds no sample of "
                     f"the {integration_resolution}-point grid over [{lo}, {hi}]"
                 )
-        self._assign(input, output, rules, integration_resolution, rule_terms)
+        self._assign(input, output, rules, integration_resolution, tuple(rule_terms))
 
 
 def _clipped_centroid(mf: TriangularMF, strength: float) -> float:
-    """Exact centroid of a triangle clipped at the given height.
+    """Exact centroid of a triangle clipped at height w = strength, 0 to 1.
 
-    A symmetric triangle clipped at any level keeps its centroid at the
-    apex; the general case decomposes the clipped trapezoid into two
-    ramps and a plateau.
+    The clipped set is the triangle less the similar triangle above the
+    clip, of height 1 - w; with lean = 2 * (apex - midpoint of the base)
+    that leaves apex - lean * (3 - 3w + w^2) / (3 * (2 - w)). This is the
+    apex itself, -0.0 included, for a symmetric triangle (lean is 0.0), and
+    the base midpoint at w = 0, the limit as the strength vanishes.
     """
-    if mf.is_symmetric:
-        return mf.apex
-    left, apex, right = mf.left, mf.apex, mf.right
-    p = left + strength * (apex - left)
-    q = right - strength * (right - apex)
-    pieces = (
-        ((p - left) * strength / 2.0, left + 2.0 * (p - left) / 3.0),
-        ((q - p) * strength, (p + q) / 2.0),
-        ((right - q) * strength / 2.0, q + (right - q) / 3.0),
-    )
-    area = sum(a for a, _ in pieces)
-    return sum(a * c for a, c in pieces) / area
+    w = strength
+    lean = (mf.apex - mf.left) - (mf.right - mf.apex)
+    return mf.apex - lean * ((3.0 - 3.0 * w + w * w) / (3.0 * (2.0 - w)))
 
 
 def _grid_sums(
@@ -328,10 +324,11 @@ def infer_change(ctrl: FuzzyController, load: float) -> float:
     the exact centroid of the aggregate sampled at the controller's
     integration_resolution uniform points over the output universe; the
     sum is taken per linear piece, so its cost does not depend on the
-    resolution. When no rule fires at all, which under chained
-    terms can only happen at the extreme ends of the input universe, the
-    controller stays continuous by returning the consequent apex of the
-    rule whose antecedent apex is nearest to the load.
+    resolution. No rule fires where the load lies on the edge of every
+    antecedent that holds it: an end of the universe under an interior
+    apex, or 100 under the terms 0 50 100 and 100 150 200. Then the result
+    is the base midpoint of the consequent of the rule whose antecedent
+    apex is nearest, the limit of its clipped centroid as strength fades.
 
     Raises UniverseError for loads outside the input universe.
     """
@@ -352,7 +349,7 @@ def infer_change(ctrl: FuzzyController, load: float) -> float:
 
     if not clipped:
         _, nearest = min(ctrl._rule_terms, key=lambda pair: abs(pair[0].apex - load))
-        return nearest.apex
+        return _clipped_centroid(nearest, 0.0)
 
     if len(clipped) == 1:
         (mf, w), = clipped.values()
@@ -481,7 +478,7 @@ def parse_controller(text: str) -> FuzzyController:
     try:
         input_var, output_var = (LinguisticVariable(*decls[k], tuple(terms[k])) for k in terms)
         return FuzzyController(input_var, output_var, tuple(rules), resolution)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ControllerFormatError(str(exc)) from None
 
 

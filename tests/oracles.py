@@ -3,17 +3,19 @@
 These deliberately share no code with the package: the subset oracle
 enumerates combinations outright, the fine-grid centroid oracle
 integrates the aggregated output set numerically on a fine grid with
-membership computed by interpolation, and the sampled-grid oracles sum
-the aggregate sample by sample on the controller's own grid and tell
-whether a term holds any point of that grid. The pipeline oracle writes
-the balancing loop out pass by pass; it takes only the fuzzy inference
-from the package and picks points with the subset oracle. Slow and
-simple on purpose.
+membership computed by interpolation, the clipped-centroid oracle splits
+one clipped triangle into ramps and a plateau in exact rational
+arithmetic, and the sampled-grid oracles sum the aggregate sample by
+sample on the controller's own grid and tell whether a term holds any
+point of that grid. The pipeline oracle writes the balancing loop out
+pass by pass; it takes only the fuzzy inference from the package and
+picks points with the subset oracle. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -66,16 +68,36 @@ def fine_grid_centroid(controller, load: float, samples: int = 1_000_001) -> flo
         agg = np.maximum(agg, np.minimum(strength, mu(out, xs)))
 
     if not fired:
-        # mirror the engine's convention: fall back to the consequent apex
-        # of the rule whose antecedent peak is nearest to the input
+        # mirror the engine's convention: fall back to the base midpoint of
+        # the consequent of the rule whose antecedent peak is nearest
         nearest = min(
             controller.rules,
             key=lambda r: abs(controller.input.term(r[0]).apex - load),
         )
-        return float(controller.output.term(nearest[1]).apex)
+        out = controller.output.term(nearest[1])
+        return (out.left + out.right) / 2.0
 
     weight = float(agg.sum())
     return float(np.dot(xs, agg) / weight)
+
+
+def exact_clipped_centroid(left: float, apex: float, right: float, strength: float) -> Fraction:
+    """Centroid of a triangle clipped at strength, in exact rational arithmetic.
+
+    The clipped set is a rising ramp, a plateau and a falling ramp, each
+    weighed by its area. At strength 0 the set is empty; the result is
+    then the limit as the strength goes to 0, the midpoint of the base.
+    """
+    l, a, r, w = (Fraction(v) for v in (left, apex, right, strength))
+    if w == 0:
+        return (l + r) / 2
+    p, q = l + w * (a - l), r - w * (r - a)
+    pieces = [
+        ((p - l) * w / 2, l + 2 * (p - l) / 3),
+        ((q - p) * w, (p + q) / 2),
+        ((r - q) * w / 2, q + (r - q) / 3),
+    ]
+    return sum(area * x for area, x in pieces) / sum(area for area, _ in pieces)
 
 
 def _membership_grid(mf, xs: np.ndarray) -> np.ndarray:

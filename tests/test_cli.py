@@ -242,6 +242,12 @@ class TestLoaderMessages:
         [
             ("feeder", "a,b\n1,2\n", "line 1: expected header 'phase1,phase2,phase3', got 'a,b'"),
             ("controller", "bogus\n", "line 1: unknown statement 'bogus'"),
+            pytest.param(
+                "controller",
+                reference_controller_text().replace("rule PL -> PA", "rule PL -> nope"),
+                "rule PL -> nope: variable Change has no term 'nope'",
+                id="controller-unknown-rule-term",
+            ),
         ],
     )
     def test_format_error(self, argv, tmp_path, capsys, kind, text, message):
@@ -277,12 +283,62 @@ class TestControllerResolution:
         assert captured.out == ""
         assert f"integration resolution must be >= 2, got {samples}" in captured.err
 
+    @pytest.mark.parametrize("samples", [10**22, 10**25, 10**400], ids=["1e22", "1e25", "1e400"])
+    def test_samples_closer_than_the_float_spacing_exit_1(self, feeder_file, tmp_path, capsys, samples):
+        path = tmp_path / "ctrl.txt"
+        path.write_text(reference_controller_text() + f"resolution {samples}\n")
+        code = main(["balance", "--input", feeder_file, "--controller", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"phasebal: error: controller file {path}: integration resolution {samples} puts "
+            "samples closer than the float spacing over [-150.0, 150.0]\n"
+        )
+
     def test_coarse_grid_that_holds_every_term_balances(self, feeder_file, tmp_path, capsys):
         path = tmp_path / "ctrl.txt"
         path.write_text(reference_controller_text() + "resolution 101\n")
         code = main(["balance", "--input", feeder_file, "--controller", str(path)])
         assert code == 0
         assert "status: balanced" in capsys.readouterr().out
+
+
+SUBNORMAL_STRENGTH_CONTROLLER = """\
+input Load 0 2
+term on 0 1 2
+output Change -1 1
+term skew 0 0.1 0.4
+term rest -1 -1 1
+rule on -> skew
+"""
+
+
+class TestSubnormalStrength:
+    """A load of 5e-324 fires the one rule at a subnormal strength."""
+
+    @pytest.fixture()
+    def controller_path(self, tmp_path):
+        path = tmp_path / "ctrl.txt"
+        path.write_text(SUBNORMAL_STRENGTH_CONTROLLER)
+        return str(path)
+
+    def test_infer_prints_the_base_midpoint(self, controller_path, capsys):
+        code = main(["infer", "--load", "5e-324", "--controller", controller_path])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "0.20\n"
+        assert "Traceback" not in captured.err
+
+    def test_balance_ends_in_a_status(self, controller_path, tmp_path, capsys):
+        feeder = tmp_path / "feeder.csv"
+        feeder.write_text("phase1,phase2,phase3\n5e-324,1,1\n")
+        argv = ["balance", "--input", str(feeder), "--threshold", "0.1", "--controller", controller_path]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "status: " in captured.out
+        assert "Traceback" not in captured.err
 
 
 class TestSurfaceCommand:

@@ -61,7 +61,8 @@ def controller_texts(draw):
     for _ in range(draw(st.integers(0, 3))):
         lines.append(f"rule {draw(LABEL)} -> {draw(LABEL)}")
     if draw(st.booleans()):
-        lines.append(f"resolution {draw(st.sampled_from(['1000', '10001', '999', '0', '-5', 'x', '2.5']))}")
+        resolution = st.sampled_from(['1000', '10001', '999', '0', '-5', 'x', '2.5', str(10**22), str(10**25), str(10**400)])
+        lines.append(f"resolution {draw(resolution)}")
     return "\n".join(damaged(draw, lines, "abinputerm ->#0.5")) + "\n"
 
 
@@ -86,7 +87,7 @@ def test_feeder_text_ends_in_an_exit_code(tmp_path_factory, command, feeder):
 @given(
     st.sampled_from(["balance", "infer", "surface"]),
     st.none() | controller_texts(),
-    st.sampled_from(["0", "120", "300", "-1", "301", "nan", "inf", "1e308"]),
+    st.sampled_from(["0", "120", "300", "-1", "301", "nan", "inf", "1e308", "5e-324", "1e-320"]),
     st.sampled_from(["1", "7.5", "50", "0", "-1", "nan", "inf", "-inf"]),
 )
 @settings(max_examples=400, deadline=None)

@@ -40,6 +40,16 @@ class TestTriangularMF:
         assert membership_at(mf, 0) == 1.0
         assert membership_at(mf, 5) == pytest.approx(0.5)
 
+    def test_right_shoulder(self):
+        mf = TriangularMF("high", 0, 10, 10)
+        assert membership_at(mf, 10) == 1.0
+        assert membership_at(mf, 5) == 0.5
+        assert membership_at(mf, 0) == 0.0
+
+    @pytest.mark.parametrize("vertices", [(0, 5, 10), (0, 0, 10), (0, 10, 10)])
+    def test_nan_is_outside_every_term(self, vertices):
+        assert membership_at(TriangularMF("t", *vertices), math.nan) == 0.0
+
     def test_rejects_unordered_breakpoints(self):
         with pytest.raises(ValueError):
             TriangularMF("bad", 5, 3, 10)
@@ -184,7 +194,49 @@ class TestSuggestChanges:
             suggest_changes(controller, (100.0, 400.0, 100.0))
 
 
+def one_rule_controller(input_term, output_term):
+    """Controller with one input term, one output term and one rule between them."""
+    return FuzzyController(
+        LinguisticVariable("x", (input_term.left, input_term.right), (input_term,)),
+        LinguisticVariable("y", (output_term.left, output_term.right), (output_term,)),
+        ((input_term.label, output_term.label),),
+    )
+
+
 class TestAsymmetricConsequent:
+    @pytest.mark.parametrize(
+        "vertices, strength, expected",
+        [
+            ((-5.0, 10.0, 10.0), 1.0, 5.0),  # right shoulder
+            ((-5.0, 10.0, 10.0), 0.5, 25 / 6),
+            ((-5.0, 0.0, 10.0), 1.0, 5 / 3),  # interior apex
+            ((-5.0, 0.0, 10.0), 0.5, 35 / 18),
+        ],
+    )
+    def test_clipped_centroid(self, vertices, strength, expected):
+        # the load is the strength: membership in 0 1 1 rises from 0 to 1
+        ctrl = one_rule_controller(TriangularMF("on", 0.0, 1.0, 1.0), TriangularMF("c", *vertices))
+        assert infer_change(ctrl, strength) == pytest.approx(expected, rel=1e-15)
+
+    def test_fallback_is_the_limit_of_a_fading_strength(self):
+        # no rule fires at load 0; the result is the midpoint of -5 10 10
+        ctrl = one_rule_controller(TriangularMF("on", 0.0, 5.0, 10.0), TriangularMF("c", -5.0, 10.0, 10.0))
+        assert infer_change(ctrl, 0.0) == 2.5
+        assert abs(infer_change(ctrl, 0.0) - infer_change(ctrl, 1e-12)) <= 1e-9
+
+    def test_terms_that_only_touch_fire_no_rule(self):
+        ctrl = FuzzyController(
+            LinguisticVariable(
+                "x", (0.0, 200.0), (TriangularMF("a", 0.0, 50.0, 100.0), TriangularMF("b", 100.0, 150.0, 200.0))
+            ),
+            LinguisticVariable(
+                "y", (-5.0, 10.0), (TriangularMF("p", -5.0, 10.0, 10.0), TriangularMF("q", -5.0, -5.0, 10.0))
+            ),
+            (("a", "p"), ("b", "q")),
+        )
+        # a and b are equally near; the first rule's consequent gives its base midpoint
+        assert infer_change(ctrl, 100.0) == 2.5
+
     def test_closed_form_matches_integration(self):
         from .oracles import fine_grid_centroid
 
@@ -193,8 +245,7 @@ class TestAsymmetricConsequent:
             LinguisticVariable("y", (-5.0, 10.0), (TriangularMF("skew", -5.0, 0.0, 10.0),)),
             (("on", "skew"),),
         )
-        # single fired rule with a lopsided consequent exercises the
-        # trapezoid decomposition rather than the apex shortcut
+        # a single fired rule with a lopsided consequent
         assert infer_change(ctrl, 5.0) == pytest.approx(5 / 3)
         for load in [1.0, 2.5, 4.0, 8.0]:
             exact = infer_change(ctrl, load)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from phasebal.planner import points_to_move, select_subset
 
 from .oracles import (
     brute_force_subset,
+    exact_clipped_centroid,
     fine_grid_centroid,
     fired_consequents,
     grid_holds_term,
@@ -120,6 +122,36 @@ def multi_rule_cases(draw):
     # to serve as the reference: each x * w rounds to a multiple of 2**-1074.
     assume(min(strengths) >= sys.float_info.min)
     return controller, load
+
+
+@st.composite
+def clipped_terms(draw):
+    """A triangle and a clip strength for the single-consequent centroid.
+
+    Terms are exactly symmetric, asymmetric triangles or shoulders of
+    ordinary size, or a few to a thousand float spacings wide far from 0.
+    Strengths include the extremes 0 and 1 and subnormal values.
+    """
+    kind = draw(st.sampled_from(["symmetric", "wide", "narrow"]))
+    if kind == "symmetric":
+        apex = draw(st.integers(-10**6, 10**6)) / 4
+        half = draw(st.integers(1, 10**6)) / 4
+        left, right = apex - half, apex + half
+    else:
+        if kind == "wide":
+            apex = draw(st.sampled_from([0.0, -150.0, 150.0]) | st.floats(-1e3, 1e3))
+            unit = draw(st.floats(1e-6, 1e3))
+            below, above = (draw(st.floats(0, 1)) for _ in "lr")
+        else:
+            apex = draw(st.sampled_from([1e6, -1e9, 1e12, 3.7e15]))
+            unit = math.ulp(apex)
+            below, above = (draw(st.integers(0, 1000)) for _ in "lr")
+        shape = draw(st.sampled_from(["triangle", "left shoulder", "right shoulder"]))
+        left = apex if shape == "left shoulder" else apex - below * unit
+        right = apex if shape == "right shoulder" else apex + above * unit
+    assume(left < right and (right - left) >= 8 * math.ulp(max(-left, right)))
+    strength = draw(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0, 1))
+    return TriangularMF("T", left, apex, right), strength
 
 
 @st.composite
@@ -283,6 +315,32 @@ class TestCentroidOracle:
     def test_output_stays_in_universe(self, load):
         lo, hi = CONTROLLER.output.universe
         assert lo <= infer_change(CONTROLLER, load) <= hi
+
+
+class TestClippedCentroid:
+    @given(clipped_terms())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_exact_arithmetic(self, case):
+        """One rule whose antecedent fires at the load itself: the centroid
+        of its clipped consequent, or at strength 0 the fallback, against
+        the exact oracle, inside the term, and the apex of a symmetric term."""
+        mf, strength = case
+        controller = FuzzyController(
+            LinguisticVariable("Load", (0.0, 1.0), (TriangularMF("on", 0.0, 1.0, 1.0),)),
+            LinguisticVariable("Change", (mf.left, mf.right), (mf,)),
+            (("on", "T"),),
+            integration_resolution=3,
+        )
+        got = infer_change(controller, strength)
+        left, apex, right = (Fraction(v) for v in (mf.left, mf.apex, mf.right))
+        want = exact_clipped_centroid(mf.left, mf.apex, mf.right, strength)
+        # Relative to the term's size; below the smallest normal float the
+        # spacing is fixed, so two roundings may add two of its steps.
+        tolerance = Fraction(1e-12) * max(abs(left), abs(right)) + 2 * Fraction(math.ulp(0.0))
+        assert abs(Fraction(got) - want) <= tolerance
+        assert mf.left <= got <= mf.right
+        if right - apex == apex - left:
+            assert got == mf.apex
 
 
 class TestSampledCentroid:
