@@ -33,8 +33,7 @@ for i, rec in enumerate(report.iterations, start=1):
     print(f"iteration {i}:")
     print(f"  raw suggestion        {rec.suggestion_raw}")
     print(f"  corrected (sums to 0) {rec.suggestion_corrected}")
-    moves = rec.plan.moves if rec.plan else ()
-    print(f"  moves executed        {len(moves)}")
+    print(f"  moves executed        {len(rec.plan.moves)}")
     print(f"  unbalance after       {rec.unbalance_after:.2f} kW")
 print()
 

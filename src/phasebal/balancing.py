@@ -42,6 +42,9 @@ INFEASIBLE = "infeasible"
 ITERATION_CAP = "iteration-cap"
 OVER_CAPACITY = "over-capacity"
 
+# The plan of a pass that moves nothing; every infeasible pass shares it.
+_NO_MOVES = BalancePlan(())
+
 
 class BalancerConfig(Frozen):
     """Knobs for the balancing loop.
@@ -77,14 +80,14 @@ class BalancerConfig(Frozen):
 
 
 class IterationRecord(NamedTuple):
-    """Everything one pass of the loop did, for reporting."""
+    """Everything one pass of the loop did; an infeasible pass has a reason and no moves."""
 
     totals_before: tuple[float, float, float]
     suggestion_raw: tuple[int, int, int]
     average_error: int
     error_vector: tuple[int, int, int]
     suggestion_corrected: tuple[int, int, int]
-    plan: BalancePlan | None
+    plan: BalancePlan
     infeasibility: str | None
     totals_after: tuple[float, float, float]
     unbalance_after: float
@@ -187,7 +190,7 @@ def balance(snapshot: FeederSnapshot, config: BalancerConfig | None = None) -> B
 
         # An infeasible pass moves nothing: its totals stay as they were.
         reason = feasibility_check(current, suggestion)
-        plan, totals_before = None, totals
+        plan, totals_before = _NO_MOVES, totals
         if reason is None:
             vector = determine(current, suggestion, cfg.integer_scale)
             plan = distribute(vector, suggestion, cfg.integer_scale)

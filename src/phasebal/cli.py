@@ -93,8 +93,21 @@ def _load_controller(path: str | None):
     return _load("controller", path, parse_controller)
 
 
-def _load_feeder(path: str):
-    return _load("feeder", path, parse_feeder_csv)
+def _write(kind: str, outputs) -> None:
+    """Write each (path, write(fh)) in order. On an OSError, remove the regular
+    files opened so far (never a device such as /dev/full) and raise a _CliError."""
+    opened: list[str] = []
+    try:
+        for path, write in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                write(fh)
+    except OSError as exc:
+        for path in opened:
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise _CliError(f"cannot write {kind}: {exc}") from None
 
 
 def _fmt_totals(totals: Sequence[float]) -> str:
@@ -102,7 +115,7 @@ def _fmt_totals(totals: Sequence[float]) -> str:
 
 
 def _cmd_balance(args: argparse.Namespace) -> int:
-    snapshot = _load_feeder(args.input)
+    snapshot = _load("feeder", args.input, parse_feeder_csv)
     controller = _load_controller(args.controller)
     try:
         config = BalancerConfig(
@@ -115,23 +128,13 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
     report = balance(snapshot, config)
 
-    # Write the files before printing, so that a failed write prints no
-    # result; remove whatever this run opened, so that none is left half done.
-    opened: list[str] = []
-    try:
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                opened.append(args.report)
-                fh.write(write_report(report) + "\n")
-        if args.emit_moves:
-            with open(args.emit_moves, "w", encoding="utf-8") as fh:
-                opened.append(args.emit_moves)
-                write_moves_csv(report, fh)
-    except OSError as exc:
-        for path in opened:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise _CliError(f"cannot write report: {exc}") from None
+    # Write the files before printing, so that a failed write prints no result.
+    outputs = []
+    if args.report:
+        outputs.append((args.report, lambda fh: fh.write(write_report(report) + "\n")))
+    if args.emit_moves:
+        outputs.append((args.emit_moves, lambda fh: write_moves_csv(report, fh)))
+    _write("report", outputs)
 
     print(f"status: {report.status}")
     print(f"iterations: {len(report.iterations)}")
@@ -154,7 +157,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_unbalance(args: argparse.Namespace) -> int:
-    snapshot = _load_feeder(args.input)
+    snapshot = _load("feeder", args.input, parse_feeder_csv)
     print(f"{avg_unbalance(phase_totals(snapshot)):.2f}")
     return 0
 
@@ -170,11 +173,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         lines.append(f"{load:g},{change:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _CliError(f"cannot write surface: {exc}") from None
+        _write("surface", [(args.out, lambda fh: fh.write(text))])
     else:
         sys.stdout.write(text)
     return 0

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from importlib import resources
 from itertools import combinations
 from typing import Sequence, TextIO
 
-from .model import Frozen, PhaseTotals, format_number, round_half_away
+from .model import Frozen, PhaseTotals, bundled_text, format_number, round_half_away
 
 __all__ = [
     "TriangularMF",
@@ -46,6 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 10001
+# The most rows response_samples builds: far above the 301 of the default surface.
+MAX_SURFACE_ROWS = 1_000_000
 
 # One inference rule: (input term label, output term label).
 Rule = tuple[str, str]
@@ -102,7 +103,8 @@ def membership_at(mf: TriangularMF, x: float) -> float:
 class LinguisticVariable(Frozen):
     """A named quantity partitioned into overlapping triangular terms.
 
-    The universe must be finite. Terms must lie within it and chain across
+    The universe must be non-empty and its width hi - lo finite, which
+    also bounds both ends. Terms must lie within it and chain across
     it (each term starts no later than the furthest right edge reached so
     far), so that the universe has no interior gap with zero coverage.
     """
@@ -116,8 +118,8 @@ class LinguisticVariable(Frozen):
         self, name: str, universe: tuple[float, float], terms: tuple[TriangularMF, ...]
     ) -> None:
         lo, hi = universe
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"variable {name}: universe [{lo}, {hi}] must be finite and non-empty")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"variable {name}: universe [{lo}, {hi}] must be finite and non-empty, with a finite width")
         if not terms:
             raise ValueError(f"variable {name}: needs at least one term")
         labels = [t.label for t in terms]
@@ -378,11 +380,14 @@ def response_samples(ctrl: FuzzyController, step: float = 1.0) -> list[tuple[flo
     """(load, change) samples over the input universe at the given step.
 
     The top of the universe is always included, so the sampled relation
-    spans the full design range even when step does not divide it.
+    spans the full design range even when step does not divide it. A step
+    that would give more than MAX_SURFACE_ROWS rows is a ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     lo, hi = ctrl.input.universe
+    if (hi - lo) / step > MAX_SURFACE_ROWS:
+        raise ValueError(f"step {step} over [{lo}, {hi}] gives more than {MAX_SURFACE_ROWS} rows")
     samples = []
     k = 0
     while True:
@@ -501,9 +506,7 @@ def write_controller(controller: FuzzyController, out: TextIO) -> None:
 
 def reference_controller_text() -> str:
     """Raw text of the bundled controller definition, data/controller.txt."""
-    return resources.files("phasebal.data").joinpath("controller.txt").read_text(
-        encoding="utf-8"
-    )
+    return bundled_text("controller.txt")
 
 
 @cache

@@ -14,11 +14,10 @@ import csv
 import io as _io
 import json
 import math
-from importlib import resources
 from typing import TextIO
 
 from .balancing import INFEASIBLE, BalanceReport
-from .model import FeederSnapshot, format_number
+from .model import FeederSnapshot, bundled_text, format_number
 
 __all__ = [
     "FeederFormatError",
@@ -121,8 +120,8 @@ def write_report(report: BalanceReport) -> str:
     """
     doc: dict = {"status": report.status}
     if report.status == INFEASIBLE:
-        reasons = [r.infeasibility for r in report.iterations if r.infeasibility]
-        doc["reason"] = reasons[-1] if reasons else ""
+        # balance() ends infeasible right after the pass that gave the reason.
+        doc["reason"] = report.iterations[-1].infeasibility
     doc["initial_totals"] = [_jsonify(t) for t in report.initial_totals]
     doc["initial_unbalance"] = _jsonify_unbalance(report.initial_unbalance)
     doc["iterations"] = []
@@ -143,7 +142,7 @@ def write_report(report: BalanceReport) -> str:
                 "to": mv.dest_phase + 1,
                 "kw": _jsonify(mv.power),
             }
-            for mv in (rec.plan.moves if rec.plan is not None else ())
+            for mv in rec.plan.moves
         ]
         entry["totals_after"] = [_jsonify(t) for t in rec.totals_after]
         entry["unbalance_after"] = _jsonify_unbalance(rec.unbalance_after)
@@ -157,8 +156,6 @@ def write_moves_csv(report: BalanceReport, out: TextIO) -> None:
     """Flat CSV of every executed move: iteration,from,index,to,kw (1-based)."""
     out.write("iteration,from,index,to,kw\n")
     for it, rec in enumerate(report.iterations, start=1):
-        if rec.plan is None:
-            continue
         for mv in rec.plan.moves:
             out.write(
                 f"{it},{mv.source_phase + 1},{mv.point_index + 1},"
@@ -168,9 +165,7 @@ def write_moves_csv(report: BalanceReport, out: TextIO) -> None:
 
 def reference_feeder_text() -> str:
     """Raw CSV text of the bundled 50-row reference feeder."""
-    return resources.files("phasebal.data").joinpath("reference_feeder.csv").read_text(
-        encoding="utf-8"
-    )
+    return bundled_text("reference_feeder.csv")
 
 
 def load_reference_feeder() -> FeederSnapshot:

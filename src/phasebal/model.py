@@ -9,6 +9,7 @@ points.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from itertools import chain
 from typing import Sequence
@@ -47,6 +48,11 @@ def format_number(value: float) -> str:
     controller writers all use it."""
     value = float(value)
     return str(int(value)) if value.is_integer() else repr(value)
+
+
+def bundled_text(name: str) -> str:
+    """A file of data/ as text, read by the package's loader (as pkgutil.get_data does)."""
+    return __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", name)).decode("utf-8")
 
 
 class Frozen:

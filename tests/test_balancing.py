@@ -159,7 +159,7 @@ class TestBalance:
         assert report.status == INFEASIBLE
         assert len(report.iterations) == 1
         rec = report.iterations[0]
-        assert rec.plan is None
+        assert rec.plan.moves == ()
         assert rec.infeasibility is not None and "phase 2" in rec.infeasibility
         assert rec.totals_after == rec.totals_before
 
@@ -195,7 +195,7 @@ class TestBalance:
         assert len(report.iterations) == 1
         rec = report.iterations[0]
         assert rec.suggestion_corrected[0] < 0
-        assert rec.plan is None
+        assert rec.plan.moves == ()
         assert rec.infeasibility is not None and "phase 1" in rec.infeasibility
         assert report.final_snapshot == feeder
 

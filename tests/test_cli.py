@@ -127,6 +127,19 @@ class TestBalanceCommand:
         assert captured.out == ""
         assert not report_path.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("flag", ["--report", "--emit-moves"])
+    def test_full_device_exits_1_and_is_not_removed(self, feeder_file, capsys, monkeypatch, flag):
+        # os.remove is a recorder: run as root, a real call would delete the device node
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        code = main(["balance", "--input", feeder_file, flag, "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "phasebal: error: cannot write report: [Errno 28] No space left on device" in captured.err
+        assert captured.out == ""
+        assert removed == []
+
     def test_controller_with_an_unsampled_term_exits_1(self, feeder_file, tmp_path, capsys):
         # n1 and n2 lie between two samples of the 1000-point output grid.
         ctrl_path = tmp_path / "ctrl.txt"
@@ -198,6 +211,28 @@ class TestInfiniteUniverse:
         captured = capsys.readouterr()
         assert code == 1
         assert "phasebal: error:" in captured.err and "must be finite" in captured.err
+        assert captured.out == ""
+
+
+# Both bounds are finite, but the width hi - lo overflows to inf.
+WIDE_OUTPUT_CONTROLLER = """\
+input L 0 300
+term A 0 150 300
+output C -1.7e308 1.7e308
+term X -1.7e308 0 1.7e308
+rule A -> X
+"""
+
+
+class TestOverflowingWidth:
+    def test_controller_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "ctrl.txt"
+        path.write_text(WIDE_OUTPUT_CONTROLLER)
+        code = main(["infer", "--load", "1", "--controller", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "variable C: universe [-1.7e+308, 1.7e+308]" in captured.err
+        assert "with a finite width" in captured.err
         assert captured.out == ""
 
 
@@ -371,6 +406,15 @@ class TestSurfaceCommand:
         assert "phasebal: error: step must be finite and positive" in captured.err
         assert captured.out == ""
 
+    def test_sweep_of_a_huge_universe_is_refused(self, tmp_path):
+        # about 1e300 rows at the default step: without a ceiling it never ends
+        path = tmp_path / "ctrl.txt"
+        path.write_text("input L 0 1e300\nterm t 0 1 1e300\noutput C -1 1\nterm a -1 0 1\nrule t -> a\n")
+        proc = _python(["-m", "phasebal", "surface", "--controller", str(path)], timeout=10)
+        assert proc.returncode == 1
+        assert "phasebal: error: step 1.0 over [0.0, 1e+300] gives more than 1000000 rows" in proc.stderr
+        assert proc.stdout == ""
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         code = main(["surface", "--out", str(tmp_path / "missing" / "s.csv")])
         captured = capsys.readouterr()
@@ -394,32 +438,39 @@ class TestUsageErrors:
         assert code == 1
 
 
+def _python(args, timeout=60):
+    """Run a fresh interpreter with this checkout's phasebal on its path."""
+    src = str(Path(phasebal.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 class TestColdStart:
     """Fresh interpreters, as a `phasebal` console call starts one."""
 
-    @staticmethod
-    def _run(args):
-        src = str(Path(phasebal.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
-        )
-
     def test_cli_import_does_not_load_numpy(self):
-        proc = self._run(["-c", 'import phasebal.cli, sys; print("numpy" in sys.modules)'])
+        proc = _python(["-c", 'import phasebal.cli, sys; print("numpy" in sys.modules)'])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_does_not_load_dataclasses(self):
-        proc = self._run(
+        proc = _python(
             ["-c", 'import phasebal.cli, sys; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))']
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_does_not_load_importlib_resources(self):
+        # -S, because this interpreter's site may import it before phasebal does
+        proc = _python(["-S", "-c", 'import phasebal.cli, sys; print("importlib.resources" in sys.modules)'])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_balance_process_on_reference_feeder(self, feeder_file):
-        proc = self._run(["-m", "phasebal", "balance", "--input", feeder_file])
+        proc = _python(["-m", "phasebal", "balance", "--input", feeder_file])
         assert proc.returncode == 0, proc.stderr
         assert "final totals: 146 / 150 / 151 kW" in proc.stdout.splitlines()
 
